@@ -2,6 +2,12 @@
 //! connection, and a dispatcher thread that micro-batches wire submissions
 //! into [`SortService::process`] runs.
 //!
+//! The dispatcher is self-clocking: it blocks until a submission arrives,
+//! then takes every submission already queued behind it (up to
+//! [`ServerConfig::max_batch_jobs`]) and runs them at once. Jobs that
+//! arrive while a micro-batch runs form the next one, so bursts coalesce
+//! without a timer and an idle server answers a lone job immediately.
+//!
 //! The server is the bridge between the wire protocol (`docs/PROTOCOL.md`)
 //! and the in-process pipeline: every well-formed `SUBMIT` frame becomes a
 //! [`SortJob`] stamped with its wall-clock arrival time and flows through
@@ -47,7 +53,7 @@ use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -68,11 +74,9 @@ use stream_arch::Value;
 pub struct ServerConfig {
     /// Configuration of the in-process [`SortService`] the server feeds.
     pub service: ServiceConfig,
-    /// Wall-clock window the dispatcher holds a micro-batch open after its
-    /// first submission, waiting for more jobs to coalesce with.
-    pub batch_window: Duration,
-    /// Maximum submissions per micro-batch (a batch closes early when it
-    /// fills).
+    /// Maximum submissions per micro-batch. A micro-batch is whatever is
+    /// queued when the dispatcher becomes free, capped at this bound; the
+    /// rest waits for the next one.
     pub max_batch_jobs: usize,
     /// Wire-level backpressure bound: submissions accepted but not yet
     /// answered. Beyond it new jobs get [`ErrorCode::ServerBusy`].
@@ -112,7 +116,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             service: ServiceConfig::default(),
-            batch_window: Duration::from_millis(1),
             max_batch_jobs: 256,
             max_pending_jobs: 1024,
             max_frame_bytes: 64 << 20,
@@ -140,12 +143,6 @@ impl ServerConfig {
     /// Set the in-process service configuration.
     pub fn with_service(mut self, service: ServiceConfig) -> Self {
         self.service = service;
-        self
-    }
-
-    /// Set the micro-batch window.
-    pub fn with_batch_window(mut self, window: Duration) -> Self {
-        self.batch_window = window;
         self
     }
 
@@ -287,6 +284,8 @@ struct Shared {
     /// Set by [`SortServer::drain`]: new submissions are turned away with
     /// [`ErrorCode::ServerBusy`] while in-flight ones finish.
     draining: AtomicBool,
+    /// Submissions accepted but not yet answered. A job leaves this count
+    /// only after its reply is sent and its WAL acknowledgement appended.
     pending: AtomicUsize,
     wire: WireStats,
     stats: Mutex<StatsInner>,
@@ -306,6 +305,10 @@ struct Shared {
     /// Write halves of live connections, so a drain can say GOODBYE to
     /// everyone. Dead entries are pruned on each accept.
     writers: Mutex<Vec<Weak<ConnWriter>>>,
+    /// Reader threads of accepted connections. The accept loop joins the
+    /// finished ones on every pass, so a long-lived server holds one
+    /// handle per open connection, not one per connection it ever saw.
+    readers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Shared {
@@ -513,6 +516,7 @@ impl SortServer {
             wal_seq: AtomicU64::new(1),
             recovery,
             writers: Mutex::new(Vec::new()),
+            readers: Mutex::new(Vec::new()),
         });
         let (tx, rx) = mpsc::channel::<Submission>();
 
@@ -549,6 +553,13 @@ impl SortServer {
         self.shared.snapshot()
     }
 
+    /// Submissions accepted but not yet answered. A job counts until its
+    /// reply is on the wire and, with durability on, its acknowledgement
+    /// is in the write-ahead log, so `0` means the log is quiescent.
+    pub fn in_flight(&self) -> usize {
+        self.shared.pending.load(Ordering::SeqCst)
+    }
+
     /// Stop accepting, drain the dispatcher queue, join every thread and
     /// return the final stats.
     pub fn shutdown(mut self) -> ServerStats {
@@ -567,7 +578,7 @@ impl SortServer {
     /// recovers nothing (see `docs/DURABILITY.md`).
     pub fn drain(mut self) -> ServerStats {
         self.shared.draining.store(true, Ordering::SeqCst);
-        while self.shared.pending.load(Ordering::SeqCst) > 0 {
+        while self.in_flight() > 0 {
             thread::sleep(Duration::from_millis(2));
         }
         if let Some(wal) = &self.shared.wal {
@@ -623,8 +634,8 @@ fn accept_loop(
     config: ServerConfig,
     shared: Arc<Shared>,
 ) {
-    let mut readers: Vec<JoinHandle<()>> = Vec::new();
     while !shared.stop.load(Ordering::Relaxed) {
+        join_finished(&mut lock(&shared.readers));
         match listener.accept() {
             Ok((stream, _peer)) => {
                 let _ = stream.set_nodelay(true);
@@ -644,17 +655,30 @@ fn accept_loop(
                 }
                 let tx = tx.clone();
                 let config = config.clone();
-                let shared = shared.clone();
-                readers.push(thread::spawn(move || {
-                    reader_loop(stream, writer, tx, config, shared)
-                }));
+                let reader = {
+                    let shared = shared.clone();
+                    thread::spawn(move || reader_loop(stream, writer, tx, config, shared))
+                };
+                lock(&shared.readers).push(reader);
             }
             // Nonblocking accept: idle-sleep and re-check the stop flag.
             Err(_) => thread::sleep(Duration::from_millis(2)),
         }
     }
-    for h in readers {
+    for h in lock(&shared.readers).drain(..) {
         let _ = h.join();
+    }
+}
+
+/// Join (and drop) every handle whose thread has already exited.
+fn join_finished(handles: &mut Vec<JoinHandle<()>>) {
+    let mut i = 0;
+    while i < handles.len() {
+        if handles[i].is_finished() {
+            let _ = handles.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
     }
 }
 
@@ -892,8 +916,8 @@ fn retry_hint_ms(config: &ServerConfig, code: ErrorCode) -> u32 {
     }
 }
 
-/// Collect submissions into wall-clock micro-batches and run each through
-/// the service.
+/// Run submissions through the service in self-clocked micro-batches:
+/// block for the first, take whatever queued behind it, run, repeat.
 fn dispatcher_loop(
     rx: Receiver<Submission>,
     service: SortService,
@@ -901,25 +925,11 @@ fn dispatcher_loop(
     shared: Arc<Shared>,
     started: Instant,
 ) {
-    loop {
-        let first = match rx.recv_timeout(Duration::from_millis(25)) {
-            Ok(s) => s,
-            Err(RecvTimeoutError::Timeout) => continue,
-            // Every sender dropped and the queue is drained: shutdown.
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        let deadline = Instant::now() + config.batch_window;
+    // `recv` fails only once every sender dropped and the queue is
+    // drained: shutdown.
+    while let Ok(first) = rx.recv() {
         let mut batch = vec![first];
-        while batch.len() < config.max_batch_jobs {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match rx.recv_timeout(deadline - now) {
-                Ok(s) => batch.push(s),
-                Err(_) => break,
-            }
-        }
+        batch.extend(rx.try_iter().take(config.max_batch_jobs.saturating_sub(1)));
         run_batch(&service, &config, &shared, started, batch);
     }
 }
@@ -1080,6 +1090,32 @@ mod tests {
         // base itself fits in u32.
         let big = config_with_retry_after(Duration::from_millis(u64::from(u32::MAX)));
         assert_eq!(retry_hint_ms(&big, ErrorCode::MemoryPressure), u32::MAX);
+    }
+
+    /// Regression: the accept loop used to keep every reader thread's
+    /// handle until shutdown, one un-joined thread (and its stack) per
+    /// connection the server ever accepted.
+    #[test]
+    fn finished_reader_threads_are_joined_while_the_server_runs() {
+        let server = SortServer::start("127.0.0.1:0", ServerConfig::default()).unwrap();
+        let cycles = 64;
+        for _ in 0..cycles {
+            drop(TcpStream::connect(server.local_addr()).unwrap());
+        }
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            let accepted = server.stats().connections_accepted;
+            let retained = lock(&server.shared.readers).len();
+            if accepted == cycles && retained == 0 {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "{retained} reader handles retained after {accepted} connect/disconnect cycles"
+            );
+            thread::sleep(Duration::from_millis(5));
+        }
+        server.shutdown();
     }
 
     #[test]

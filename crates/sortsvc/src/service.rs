@@ -11,11 +11,15 @@
 //!    coalescer. Every closed batch is routed through the policy engine
 //!    and pinned to the device slot with the earliest *estimated* free
 //!    time.
-//! 2. **Execution** — one worker thread per device slot
-//!    (`std::thread::scope`), each owning a pooled [`StreamProcessor`]
-//!    that is take-and-reset between batches. Workers only touch their
-//!    own slot's batches, so the phase is deterministic regardless of
-//!    thread scheduling.
+//! 2. **Execution** — each busy device slot runs its batches in order on
+//!    one [`StreamProcessor`] drawn from a warm pool the service owns and
+//!    keeps across runs. The first busy slot runs on the calling thread,
+//!    every other busy slot on a scoped worker thread
+//!    (`std::thread::scope`), so a one-batch run spawns nothing. Every
+//!    engine run resets its processor's counters and caches before it
+//!    starts, and a slot only touches its own batches, so the results
+//!    depend neither on thread scheduling nor on which pooled processor
+//!    ran a slot.
 //! 3. **Timeline** — the measured batch durations are replayed over the
 //!    slot schedule to produce per-job simulated latencies and the
 //!    service metrics.
@@ -26,12 +30,14 @@
 use crate::batch::{self, BatchBuilder, BatchOutcome, BatchPlan};
 use crate::job::{JobId, JobKind, JobResult, RejectReason, SortJob};
 use crate::metrics::{ratio, ServiceMetrics};
+use crate::net::lock;
 use crate::policy::{Engine, PolicyConfig, SortPolicy};
 use crate::queue::{AdmissionController, TenantQueues};
 use crate::shard::{ShardedConfig, ShardedSorter};
 use crate::wal::{self, Wal, WalConfig, WalError};
 use abisort::{GpuAbiSorter, SortConfig};
 use serde::Serialize;
+use std::sync::Mutex;
 use stream_arch::telemetry::LogHistogram;
 use stream_arch::{GpuProfile, Result, StreamProcessor};
 use terasort::TeraSortConfig;
@@ -202,6 +208,10 @@ pub struct SortService {
     policy: SortPolicy,
     sorter: GpuAbiSorter,
     sharder: ShardedSorter,
+    /// Warm device-slot processors, idle between runs. A run checks out
+    /// as many as it needs (building any the pool lacks) and returns
+    /// them, so their unit caches and buffer arenas outlive the call.
+    processors: Mutex<Vec<StreamProcessor>>,
 }
 
 impl SortService {
@@ -244,6 +254,7 @@ impl SortService {
             policy,
             sorter,
             sharder,
+            processors: Mutex::new(Vec::new()),
         }
     }
 
@@ -299,8 +310,8 @@ impl SortService {
     // --- Phase 2: execution ---------------------------------------------
 
     fn execute(&self, plans: &[BatchPlan]) -> Result<Vec<BatchOutcome>> {
-        // Sharded batches need several pooled processors at once, so they
-        // run in their own pass; everything else stays on its slot worker.
+        // Sharded batches need several processors at once, so they run in
+        // their own pass; everything else stays on its slot.
         let mut by_slot: Vec<Vec<usize>> = vec![Vec::new(); self.config.device_slots];
         let mut multi_slot: Vec<usize> = Vec::new();
         for plan in plans {
@@ -310,39 +321,76 @@ impl SortService {
                 multi_slot.push(plan.id);
             }
         }
+        by_slot.retain(|ids| !ids.is_empty());
+        let shard_width = multi_slot
+            .iter()
+            .map(|&id| plans[id].slot_count())
+            .max()
+            .unwrap_or(0);
+
+        let mut procs = self.checkout(by_slot.len().max(shard_width));
+        let outcomes = self.run_on(&mut procs, plans, &by_slot, &multi_slot);
+        lock(&self.processors).append(&mut procs);
+        outcomes
+    }
+
+    /// Take `n` processors from the warm pool, building any it lacks.
+    fn checkout(&self, n: usize) -> Vec<StreamProcessor> {
+        let mut procs = {
+            let mut pool = lock(&self.processors);
+            let keep = pool.len().saturating_sub(n);
+            pool.split_off(keep)
+        };
+        procs.resize_with(n, || StreamProcessor::new(self.config.profile.clone()));
+        procs
+    }
+
+    /// Run every busy slot's batches on its own processor (the first on
+    /// the calling thread), then the sharded pass over the same ones.
+    fn run_on(
+        &self,
+        procs: &mut [StreamProcessor],
+        plans: &[BatchPlan],
+        by_slot: &[Vec<usize>],
+        multi_slot: &[usize],
+    ) -> Result<Vec<BatchOutcome>> {
         let tera = TeraSortConfig {
             run_size: self.config.tera_run_size,
             gpu_profile: self.config.profile.clone(),
             ..TeraSortConfig::default()
         };
+        let run_slot = |ids: &[usize], proc: &mut StreamProcessor| -> Result<Vec<BatchOutcome>> {
+            ids.iter()
+                .map(|&id| {
+                    batch::execute(
+                        &plans[id],
+                        proc,
+                        &self.sorter,
+                        &self.sharder,
+                        &self.policy,
+                        &tera,
+                    )
+                })
+                .collect()
+        };
 
         let mut per_slot: Vec<Result<Vec<BatchOutcome>>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = by_slot
-                .iter()
-                .map(|ids| {
-                    let tera = &tera;
-                    scope.spawn(move || -> Result<Vec<BatchOutcome>> {
-                        let mut proc = StreamProcessor::new(self.config.profile.clone());
-                        ids.iter()
-                            .map(|&id| {
-                                batch::execute(
-                                    &plans[id],
-                                    &mut proc,
-                                    &self.sorter,
-                                    &self.sharder,
-                                    &self.policy,
-                                    tera,
-                                )
-                            })
-                            .collect()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                per_slot.push(handle.join().expect("service worker thread panicked"));
-            }
-        });
+        if let (Some((first, rest)), Some((first_proc, rest_procs))) =
+            (by_slot.split_first(), procs.split_first_mut())
+        {
+            std::thread::scope(|scope| {
+                let run_slot = &run_slot;
+                let handles: Vec<_> = rest
+                    .iter()
+                    .zip(rest_procs)
+                    .map(|(ids, proc)| scope.spawn(move || run_slot(ids, proc)))
+                    .collect();
+                per_slot.push(run_slot(first, first_proc));
+                for handle in handles {
+                    per_slot.push(handle.join().expect("service worker thread panicked"));
+                }
+            });
+        }
 
         let mut outcomes: Vec<Option<BatchOutcome>> = vec![None; plans.len()];
         for slot_result in per_slot {
@@ -352,25 +400,15 @@ impl SortService {
             }
         }
 
-        // Multi-slot pass: one pooled processor per reserved slot; each
-        // sharded batch parallelises internally across its shards.
-        if !multi_slot.is_empty() {
-            let pool_size = multi_slot
-                .iter()
-                .map(|&id| plans[id].slot_count())
-                .max()
-                .expect("non-empty multi-slot list");
-            let mut pool: Vec<StreamProcessor> = (0..pool_size)
-                .map(|_| StreamProcessor::new(self.config.profile.clone()))
-                .collect();
-            for &id in &multi_slot {
-                let k = plans[id].slot_count();
-                outcomes[id] = Some(batch::execute_sharded(
-                    &plans[id],
-                    &mut pool[..k],
-                    &self.sharder,
-                )?);
-            }
+        // Multi-slot pass: one processor per reserved slot; each sharded
+        // batch parallelises internally across its shards.
+        for &id in multi_slot {
+            let k = plans[id].slot_count();
+            outcomes[id] = Some(batch::execute_sharded(
+                &plans[id],
+                &mut procs[..k],
+                &self.sharder,
+            )?);
         }
 
         Ok(outcomes
@@ -1234,6 +1272,102 @@ mod tests {
         assert_eq!(report.metrics.device_utilization, 0.0);
         assert_eq!(report.metrics.latency_p50_ms, 0.0);
         assert_eq!(report.metrics.latency_p99_ms, 0.0);
+    }
+
+    /// Everything a run reports on the simulated clock, formatted exactly
+    /// (`{:?}` prints every float in round-trip form): per-job results,
+    /// rejections, batch summaries and metrics, with the two host-clock
+    /// fields (`batch_wall_ms`, `wall_ms`) zeroed.
+    fn sim_fingerprint(report: &ServiceReport) -> String {
+        let mut results = report.results.clone();
+        for r in &mut results {
+            r.batch_wall_ms = 0.0;
+        }
+        let mut metrics = report.metrics.clone();
+        metrics.wall_ms = 0.0;
+        format!(
+            "{results:?}\n{:?}\n{:?}\n{metrics:?}",
+            report.rejected, report.batches
+        )
+    }
+
+    /// Call `call` of the warm-slot test: a coalesced GPU batch, a CPU
+    /// job and a percentile query every time; a sharded sort on even
+    /// calls and a top-k query on two calls in three, so the number of
+    /// busy slots (and which pooled processor serves which) varies.
+    fn mixed_kind_jobs(call: u64) -> Vec<SortJob> {
+        let mut specs: Vec<(usize, JobKind, f64)> = vec![(200, JobKind::Sort, 0.0); 16];
+        specs.push((100, JobKind::Sort, 0.5));
+        if call.is_multiple_of(2) {
+            specs.push((5000, JobKind::Sort, 1.0));
+        }
+        if !call.is_multiple_of(3) {
+            specs.push((2000, JobKind::TopK(16), 1.5));
+        }
+        specs.push((3000, JobKind::Percentile(vec![0.5, 0.99]), 2.0));
+        specs
+            .into_iter()
+            .enumerate()
+            .map(|(i, (len, kind, at))| {
+                let id = i as u64;
+                SortJob::new(
+                    id,
+                    (id % 3) as u32,
+                    workloads::uniform(len, call * 100 + id),
+                )
+                .arriving_at(at)
+                .with_kind(kind)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn warm_slots_report_byte_identically_to_a_fresh_service_per_call() {
+        let config = ServiceConfig {
+            device_slots: 3,
+            // Sixteen 200-element sorts fill a batch at once, so the
+            // coalesced GPU batch is the first thing slot 0 runs.
+            max_batch_elements: 4096,
+            policy: PolicyConfig {
+                crossover_override: Some(1024),
+                sharded_min_override: Some(4000),
+                ..PolicyConfig::default()
+            },
+            ..ServiceConfig::default()
+        };
+        let warm = SortService::new(config.clone());
+        let (mut cpu, mut coalesced_gpu, mut sharded, mut topk, mut percentile) = (0, 0, 0, 0, 0);
+        for call in 0..20 {
+            let jobs = mixed_kind_jobs(call);
+            let reused = warm.process(jobs.clone()).unwrap();
+            let fresh = SortService::with_policy(config.clone(), warm.policy().clone())
+                .process(jobs)
+                .unwrap();
+            assert_eq!(
+                sim_fingerprint(&reused),
+                sim_fingerprint(&fresh),
+                "call {call}: a warm service must report what a fresh one does"
+            );
+            let m = &reused.metrics;
+            cpu += m.cpu_jobs;
+            sharded += m.sharded_jobs;
+            topk += m.topk_jobs;
+            percentile += m.percentile_jobs;
+            coalesced_gpu += reused
+                .batches
+                .iter()
+                .filter(|b| b.engine == Engine::GpuAbiSort.name() && b.jobs > 1)
+                .count();
+        }
+        for (what, n) in [
+            ("cpu jobs", cpu),
+            ("coalesced gpu batches", coalesced_gpu),
+            ("sharded jobs", sharded),
+            ("top-k jobs", topk),
+            ("percentile jobs", percentile),
+        ] {
+            assert!(n > 0, "the mix must cover {what}");
+        }
     }
 
     #[test]

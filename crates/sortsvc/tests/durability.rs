@@ -333,6 +333,19 @@ fn a_crashed_server_is_replayed_by_its_successor_with_zero_acknowledged_loss() {
         assert_eq!(bits(&sorted), bits(&reference_sorted(&input)));
     }
 
+    // Replies go out before acks are logged, so the last answer above
+    // does not mean its ack is in the log yet. Arm the fault only once
+    // the server has nothing in flight, or it could tear that ack
+    // instead of the next job's.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while first.in_flight() > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the first server never went idle"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
     // The crash: the next job's acknowledgement append tears. The client
     // still gets its RESULT (replies go out before acks are logged), but
     // the log keeps the job open — exactly the at-least-once window.

@@ -1,8 +1,9 @@
 //! End-to-end tests of the networked front-end over real loopback TCP:
 //! wire results must be byte-identical to the in-process service, overload
 //! must surface as typed reject frames (not dropped connections), protocol
-//! violations must kill only the offending connection, and the liveness
-//! probes must round-trip.
+//! violations must kill only the offending connection, the liveness
+//! probes must round-trip, and the dispatcher must batch by what is queued
+//! rather than by a timer.
 
 use gpu_abisort::prelude::*;
 use gpu_abisort::sortsvc::net::{
@@ -323,4 +324,72 @@ fn malformed_submit_payload_is_rejected_per_job() {
     };
     assert_eq!(frame.frame_type, FrameType::Result);
     server.shutdown();
+}
+
+/// The dispatcher is self-clocking: a job submitted to an idle server runs
+/// at once as its own micro-batch instead of waiting for company.
+#[test]
+fn sequential_submit_and_wait_jobs_each_run_as_their_own_micro_batch() {
+    let server = SortServer::start("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let mut client = SortClient::connect(server.local_addr()).expect("connect");
+
+    let jobs = 8u64;
+    for i in 0..jobs {
+        let ticket = client.submit(workloads::uniform(256, i)).expect("submit");
+        client.flush().expect("flush");
+        let reply = ticket.wait_timeout(REPLY_TIMEOUT).expect("reply");
+        assert_eq!(reply.sorted().expect("sorted").len(), 256);
+    }
+
+    drop(client);
+    let stats = server.shutdown();
+    assert_eq!(stats.service.jobs_completed, jobs as usize);
+    assert_eq!(
+        stats.micro_batches, jobs,
+        "one micro-batch per waited-for job"
+    );
+}
+
+/// Jobs that arrive while a micro-batch runs form the next one: 32 small
+/// jobs flushed behind a GPU-sized job coalesce rather than running as a
+/// micro-batch each.
+#[test]
+fn jobs_queued_behind_a_running_batch_coalesce() {
+    let server = SortServer::start("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let mut client = SortClient::connect(server.local_addr()).expect("connect");
+
+    let big = client
+        .submit(workloads::uniform(1 << 16, 1))
+        .expect("submit");
+    client.flush().expect("flush");
+    let small: Vec<_> = (0..32u64)
+        .map(|i| {
+            client
+                .submit(workloads::uniform(64, 100 + i))
+                .expect("submit")
+        })
+        .collect();
+    client.flush().expect("flush");
+    for ticket in std::iter::once(&big).chain(&small) {
+        let reply = ticket.wait_timeout(REPLY_TIMEOUT).expect("reply");
+        assert!(
+            matches!(reply, JobReply::Sorted(_)),
+            "job {} not sorted",
+            ticket.job_id()
+        );
+    }
+
+    drop(client);
+    let stats = server.shutdown();
+    let jobs = 1 + small.len() as u64;
+    assert_eq!(stats.service.jobs_completed as u64, jobs);
+    assert!(
+        stats.service.gpu_jobs + stats.service.sharded_jobs >= 1,
+        "the big job must take a simulated-GPU engine"
+    );
+    assert!(
+        stats.micro_batches < jobs,
+        "{} micro-batches for {jobs} jobs: nothing coalesced",
+        stats.micro_batches
+    );
 }
