@@ -48,7 +48,8 @@ use workloads::Distribution;
 pub struct ServiceConfig {
     /// Hardware profile of every device slot.
     pub profile: GpuProfile,
-    /// Number of device slots (worker threads, pooled processors).
+    /// Number of device slots (pooled processors; a run gives each busy
+    /// slot beyond the first its own worker thread).
     pub device_slots: usize,
     /// Coalesce small jobs into shared batched launches. With `false`
     /// every job becomes its own submission (the naive baseline the
