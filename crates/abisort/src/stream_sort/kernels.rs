@@ -4,11 +4,9 @@
 //!
 //! * a **bound form** (`bind_*` returning a `*Bound` struct) that performs
 //!   the hardware validation and binds the input/gather/output substream
-//!   views *without launching* — the launch-graph planner records these
-//!   bindings as DAG nodes and later replays them, either eagerly or fused
-//!   into multi-kernel stages ([`StreamProcessor::launch_stage`]);
-//! * an **eager wrapper** (the original free function) that binds and
-//!   launches in one call, used by tests and by the planner's eager
+//!   views *without launching*;
+//! * a **launch wrapper** (the original free function) that binds and
+//!   launches in one call, used by tests and by the planner's
 //!   interpreter.
 //!
 //! The kernels correspond to the paper's pseudo code and Section 7

@@ -95,8 +95,7 @@ pub enum MergeOutcome {
 /// Since the launch-graph planner landed this is a record-then-execute
 /// wrapper: [`record_level_plan`] produces the level's launch plan (the
 /// exact sequence this function used to issue inline), and the plan runs
-/// against the level's streams — eagerly or as fused stages, depending on
-/// the processor's [`stream_arch::PlanMode`].
+/// against the level's streams.
 pub fn merge_level(
     proc: &mut StreamProcessor,
     streams: &mut MergeStreams,

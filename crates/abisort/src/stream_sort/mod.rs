@@ -16,8 +16,8 @@
 //!   (`O(log n)` per level, Section 5.4);
 //! * [`plan`] — the launch-graph planner: the sort's kernel launches
 //!   recorded as an operator DAG over named buffers, partitioned into
-//!   stages, cached per problem shape, and executed either eagerly or as
-//!   fused worker-pool epochs (see `docs/PLANNER.md`);
+//!   stages, cached per problem shape, and executed one launch per node
+//!   (see `docs/PLANNER.md`);
 //! * [`sort`] — the `GPUABiSort` main routine (Listing 2) plus the
 //!   Section 7 optimizations, wrapped in the [`sort::GpuAbiSorter`] API.
 

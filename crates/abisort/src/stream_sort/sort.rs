@@ -15,7 +15,7 @@ use super::plan::{PlanBuffers, PlanKey, SortPlan};
 use crate::config::SortConfig;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use stream_arch::{Counters, Node, PlanMode, Result, SimTime, Stream, StreamProcessor, Value};
+use stream_arch::{Counters, Node, Result, SimTime, Stream, StreamProcessor, Value};
 
 /// The GPU-ABiSort sorter: a [`SortConfig`], a cache of recorded launch
 /// plans, and the logic to run them on a [`StreamProcessor`].
@@ -147,18 +147,10 @@ impl GpuAbiSorter {
         }
     }
 
-    /// Look up (or record) the plan for `key`.
-    ///
-    /// Under [`PlanMode::Staged`] plans are cached per sorter: the first
-    /// run of a problem shape records the launch graph, every later run
-    /// replays it. [`PlanMode::Eager`] re-records on every run — the
-    /// pre-planner behaviour, kept for byte-identity reference runs and as
-    /// the baseline the plan-cache wall-clock differential is measured
-    /// against.
-    fn plan_for(&self, proc: &StreamProcessor, key: PlanKey) -> Arc<SortPlan> {
-        if proc.plan_mode() == PlanMode::Eager {
-            return Arc::new(SortPlan::record(key));
-        }
+    /// Look up (or record) the plan for `key`. Plans are cached per
+    /// sorter: the first run of a problem shape records the launch graph,
+    /// every later run replays it.
+    fn plan_for(&self, key: PlanKey) -> Arc<SortPlan> {
         let mut plans = self.plans.lock().expect("plan cache poisoned");
         Arc::clone(
             plans
@@ -454,7 +446,7 @@ impl GpuAbiSorter {
                 fixed_merge: self.config.fixed_merge_optimization && n >= 16,
                 overlapped: self.config.overlapped_steps,
             };
-            let plan = self.plan_for(proc, key);
+            let plan = self.plan_for(key);
             let mut streams = MergeStreams::take(proc.arena(), n, layout);
             // Scratch/merged value streams are written in full by
             // `traverse16` / `fixed_merge16` before either is read, so
@@ -513,7 +505,7 @@ impl GpuAbiSorter {
         proc.check_stream_size::<Node>(2 * n)?;
         let layout = self.config.layout.to_layout();
         let key = self.plan_key(n, top_level);
-        let plan = self.plan_for(proc, key);
+        let plan = self.plan_for(key);
 
         if self.config.include_transfer {
             // Upload of the input pairs and readback of the sorted output

@@ -2,9 +2,9 @@
 //!
 //! The simulated-time scaling (which is what the paper's claim is about) is
 //! produced by `repro --experiment scaling`; this bench measures the host
-//! cost of simulating different unit counts, including the real
-//! multi-threaded executor (`ExecMode::Parallel`) on machines with more
-//! than one hardware thread.
+//! cost of simulating different unit counts, under both execution modes.
+//! All simulated units run on the calling thread: `p` is a property of
+//! the simulated machine, not of the host.
 
 use abisort::{GpuAbiSorter, SortConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -35,27 +35,26 @@ fn bench_scaling(c: &mut Criterion) {
         );
     }
 
-    // Host-parallel execution of the kernel instances (one thread per
-    // simulated unit). On a single-core host this mainly measures the
-    // thread-coordination overhead.
-    let host_threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    group.bench_with_input(
-        BenchmarkId::new("host_parallel_executor", host_threads),
-        &input,
-        |b, input| {
-            b.iter(|| {
-                let mut proc = StreamProcessor::with_mode(
-                    GpuProfile::geforce_7800().with_units(host_threads),
-                    ExecMode::Parallel,
-                );
-                GpuAbiSorter::new(SortConfig::default())
-                    .sort_run(&mut proc, input)
-                    .unwrap()
-            })
-        },
-    );
+    // The same sorts under `ExecMode::Parallel`: each unit charges its own
+    // texture cache, and every unit's chunk still runs on the calling
+    // thread.
+    for units in [4usize, 24] {
+        group.bench_with_input(
+            BenchmarkId::new("parallel_mode", units),
+            &input,
+            |b, input| {
+                b.iter(|| {
+                    let mut proc = StreamProcessor::with_mode(
+                        GpuProfile::geforce_7800().with_units(units),
+                        ExecMode::Parallel,
+                    );
+                    GpuAbiSorter::new(SortConfig::default())
+                        .sort_run(&mut proc, input)
+                        .unwrap()
+                })
+            },
+        );
+    }
     group.finish();
 }
 

@@ -1,11 +1,10 @@
-//! E21 companion bench — host wall-clock of the three execution engines.
+//! E21 companion bench — host wall-clock of the execution modes.
 //!
 //! The `repro --scenario wallclock` harness produces the reported
-//! before/after table; this criterion target keeps the same comparison
-//! under continuous measurement (and under `-- --test` smoke in CI):
-//! sequential reference, pooled parallel ([`ExecMode::Parallel`]), and the
-//! legacy spawn-per-launch baseline ([`ExecMode::SpawnParallel`]), plus
-//! the stream arena on/off on the sequential engine.
+//! before/after table; this criterion target keeps the host cost of a
+//! sort under continuous measurement (and under `-- --test` smoke in CI):
+//! [`ExecMode::Sequential`] with the stream arena on and off, and
+//! [`ExecMode::Parallel`].
 
 use abisort::{GpuAbiSorter, SortConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -21,9 +20,8 @@ fn bench_engines(c: &mut Criterion) {
     let input = workloads::uniform(n, 7);
     let sorter = GpuAbiSorter::new(SortConfig::default());
 
-    // Long-lived processors: the pooled engine's worker threads and the
-    // arena's recycled buffers persist across iterations, exactly like a
-    // service slot worker.
+    // Long-lived processors: the arena's recycled buffers persist across
+    // iterations, exactly like a service slot worker.
     let mut sequential = StreamProcessor::new(GpuProfile::geforce_7800());
     group.bench_function(BenchmarkId::new("engine", "sequential"), |b| {
         b.iter(|| sorter.sort_run(&mut sequential, &input).unwrap())
@@ -35,14 +33,9 @@ fn bench_engines(c: &mut Criterion) {
         b.iter(|| sorter.sort_run(&mut no_arena, &input).unwrap())
     });
 
-    let mut pooled = StreamProcessor::with_mode(GpuProfile::geforce_7800(), ExecMode::Parallel);
-    group.bench_function(BenchmarkId::new("engine", "parallel_pooled"), |b| {
-        b.iter(|| sorter.sort_run(&mut pooled, &input).unwrap())
-    });
-
-    let mut spawn = StreamProcessor::with_mode(GpuProfile::geforce_7800(), ExecMode::SpawnParallel);
-    group.bench_function(BenchmarkId::new("engine", "parallel_spawn_baseline"), |b| {
-        b.iter(|| sorter.sort_run(&mut spawn, &input).unwrap())
+    let mut parallel = StreamProcessor::with_mode(GpuProfile::geforce_7800(), ExecMode::Parallel);
+    group.bench_function(BenchmarkId::new("engine", "parallel"), |b| {
+        b.iter(|| sorter.sort_run(&mut parallel, &input).unwrap())
     });
 
     group.finish();

@@ -4,12 +4,9 @@
 //! full E21 harness around it).
 //!
 //! ```text
-//! cargo run --release -p bench --bin profile_seq -- [n] [jobs] [mode]
+//! cargo run --release -p bench --bin profile_seq -- [n] [jobs]
 //!   n     elements per sort          (default 1024)
 //!   jobs  sorts per measured pass    (default 200)
-//!   mode  batched | per-access       (default batched; per-access also
-//!                                     turns zero-fill elision off, i.e.
-//!                                     the full reference engine)
 //! ```
 //!
 //! One untimed warm-up pass precedes the measured pass, mirroring the E21
@@ -17,7 +14,7 @@
 
 use abisort::{GpuAbiSorter, SortConfig};
 use std::time::Instant;
-use stream_arch::{AccountingMode, GpuProfile, StreamProcessor};
+use stream_arch::{GpuProfile, StreamProcessor};
 
 fn main() {
     let n: usize = std::env::args()
@@ -28,16 +25,10 @@ fn main() {
         .nth(2)
         .and_then(|s| s.parse().ok())
         .unwrap_or(200);
-    let mode = match std::env::args().nth(3).as_deref() {
-        Some("per-access") => AccountingMode::PerAccess,
-        _ => AccountingMode::Batched,
-    };
     let sorter = GpuAbiSorter::new(SortConfig::default());
     let inputs: Vec<Vec<stream_arch::Value>> =
         (0..jobs).map(|j| workloads::uniform(n, j as u64)).collect();
     let mut proc = StreamProcessor::new(GpuProfile::geforce_7800());
-    proc.set_accounting_mode(mode);
-    proc.arena().set_elision(mode == AccountingMode::Batched);
     let run_all = |proc: &mut StreamProcessor| {
         for input in &inputs {
             let _ = sorter.sort_run(proc, input).expect("sort failed");
@@ -47,7 +38,7 @@ fn main() {
     let started = Instant::now();
     run_all(&mut proc);
     println!(
-        "{jobs} sorts of n={n} [{mode:?}]: {:.1} ms",
+        "{jobs} sorts of n={n}: {:.1} ms",
         started.elapsed().as_secs_f64() * 1e3
     );
 }

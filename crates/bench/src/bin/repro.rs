@@ -43,6 +43,25 @@ use bench::report::{
 };
 use bench::{experiments, extended, Report};
 
+/// The names `--experiment` / `--scenario` accept.
+const EXPERIMENTS: [&str; 15] = [
+    "data-dependence",
+    "transfer",
+    "stream-ops",
+    "work",
+    "scaling",
+    "ablation",
+    "pram",
+    "terasort",
+    "padding",
+    "service",
+    "sharded",
+    "wallclock",
+    "netsoak",
+    "crashsoak",
+    "typed",
+];
+
 #[derive(Debug)]
 struct Options {
     all: bool,
@@ -95,6 +114,13 @@ fn parse_args() -> Options {
             }
             "--experiment" | "--scenario" => {
                 let name = args.next().unwrap_or_default();
+                if !EXPERIMENTS.contains(&name.as_str()) {
+                    eprintln!(
+                        "unknown experiment {name:?} (expected one of: {})",
+                        EXPERIMENTS.join(" | ")
+                    );
+                    std::process::exit(2);
+                }
                 opts.experiments.push(name);
                 any = true;
             }
@@ -315,7 +341,7 @@ fn main() {
 
     if wants("wallclock") {
         eprintln!("running wall-clock engine comparison E21 (this times real host work) …");
-        report.wallclock = bench::wallclock::wallclock_suite(opts.max_log_n);
+        report.wallclock = bench::wallclock::matrix_sequential();
         println!("{}", bench::wallclock::render_wallclock(&report.wallclock));
     }
 
@@ -381,8 +407,7 @@ fn main() {
         let baseline = std::fs::read_to_string(path)
             .unwrap_or_else(|e| panic!("failed to read baseline {path}: {e}"));
         // Speedup bands are only meaningful on the machine class the
-        // baseline was measured on (the parallel matrix's spawn-vs-pool
-        // ratio scales with the core count). On a different host the gate
+        // baseline was measured on. On a different host the gate
         // still runs and prints the comparison, but does not fail the
         // build — the absolute acceptance floors cover that case.
         let enforced = match bench::wallclock::baseline_host_cores(&baseline) {

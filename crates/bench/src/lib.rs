@@ -21,7 +21,7 @@
 //! | E18 (padding overhead)    | [`extended::padding_overhead`] |
 //! | E19 (sorting service)     | [`service::service_scenario`] |
 //! | E20 (sharded scaling)     | [`sharded::sharded_scaling`] |
-//! | E21 (wall-clock engines)  | [`wallclock::wallclock_suite`] |
+//! | E21 (wall-clock accounting) | [`wallclock::matrix_sequential`] |
 //! | E22 (networked soak)      | [`netsoak::netsoak`] |
 //! | E23 (crash soak)          | [`crashsoak::crash_soak`] |
 //! | E24 (typed queries)       | [`typed::typed_scenario`] |

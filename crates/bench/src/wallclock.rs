@@ -1,39 +1,19 @@
-//! E21 — the wall-clock harness for the persistent execution engine.
+//! E21 — the wall-clock harness for the cost-accounting engine.
 //!
 //! Everything else in this crate reports *simulated* time; this module
-//! times the **host wall clock**, because the engine work the pooled
-//! executor and the stream arena do (thread reuse instead of per-launch
-//! spawns, buffer recycling instead of per-run mallocs) is invisible to
-//! the cost model by design — results, counters and simulated times are
-//! byte-identical either way, which every scenario here re-asserts while
-//! it measures.
+//! times the **host wall clock**, because the work batched accounting and
+//! zero-fill elision save is invisible to the cost model by design —
+//! results, counters and simulated times are byte-identical either way,
+//! which the scenario re-asserts while it measures.
 //!
-//! Four scenarios, each reporting `baseline_ms` (the reference engine)
-//! against `current_ms`:
-//!
-//! * **matrix-parallel** — the conformance-scale size × distribution
-//!   matrix sorted in host-parallel mode: [`ExecMode::SpawnParallel`]
-//!   (one `std::thread::scope` spawn per unit per launch — the legacy
-//!   engine) versus the pooled [`ExecMode::Parallel`]. This is where the
-//!   ≥ 3× acceptance claim lives: an adaptive bitonic sort issues
-//!   O(log² n) *cheap* launches, so per-launch thread spawns dominate the
-//!   host time and the pool removes them.
 //! * **matrix-sequential** — a service-shaped stream of many small sorts
 //!   on one sequential processor: the reference cost model
 //!   ([`AccountingMode::PerAccess`] with the default refill on every
 //!   arena take) versus the batched accounting plus zero-fill elision.
 //!   This is where the accounting acceptance claim lives (≥ 1.5× against
-//!   the same-binary reference, which already includes this PR's shared
-//!   access-path improvements; ≥ 2× as a trajectory point against the
-//!   engine the previous committed `BENCH_WALL.json` measured): the
-//!   sequential path is dominated by per-access accounting, and the
-//!   batched path charges whole cache-tile runs with one probe.
-//! * **service-e19** — the E19 batched-service scenario end to end,
-//!   reference engine (per-access accounting, no pooling, no elision —
-//!   flipped via the process-wide defaults, since the service builds its
-//!   slot processors internally) versus the current engine.
-//! * **sharded-e20** — one sharded multi-device sort (E20 shape),
-//!   reference engine versus current engine likewise.
+//!   the same-binary reference): the sequential path is dominated by
+//!   per-access accounting, and the batched path charges whole
+//!   cache-tile runs with one probe.
 //!
 //! `repro --scenario wallclock --json BENCH_WALL.json` emits the rows as
 //! the `wallclock` section of the report — the perf-trajectory file the
@@ -42,18 +22,13 @@
 
 use abisort::{GpuAbiSorter, SortConfig};
 use serde::Serialize;
-use sortsvc::{ServiceConfig, ShardedSorter, SortJob, SortService};
 use std::time::Instant;
-use stream_arch::{
-    arena, executor, AccountingMode, ExecMode, GpuProfile, PlanMode, StreamProcessor,
-};
-use workloads::{Distribution, RequestMix};
+use stream_arch::{AccountingMode, GpuProfile, StreamProcessor};
 
 /// One wall-clock comparison row.
 #[derive(Clone, Debug, Serialize)]
 pub struct WallClockRow {
-    /// Scenario id (`matrix-parallel`, `matrix-sequential`, `service-e19`,
-    /// `sharded-e20`).
+    /// Scenario id (`matrix-sequential`).
     pub scenario: String,
     /// Case label within the scenario (size, distribution, job count …).
     pub case: String,
@@ -100,93 +75,6 @@ fn time_ms<R>(f: impl FnOnce() -> R) -> (f64, R) {
     (started.elapsed().as_secs_f64() * 1e3, r)
 }
 
-/// Minimum wall clock over `reps` runs of `f`, with the last run's result.
-///
-/// A single timed run on a loaded (or single-core CI) host carries enough
-/// scheduler noise to swing an engine ratio severalfold; the minimum over
-/// a few repetitions is the standard robust estimator of the undisturbed
-/// cost, and it keeps the committed baseline rows stable enough for the
-/// 25%-tolerance regression gate. The work is deterministic, so every
-/// repetition produces the identical result the identity assertions
-/// compare.
-fn time_ms_best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let (mut best, mut result) = time_ms(&mut f);
-    for _ in 1..reps.max(1) {
-        let (ms, r) = time_ms(&mut f);
-        if ms < best {
-            best = ms;
-        }
-        result = r;
-    }
-    (best, result)
-}
-
-/// The distributions of the conformance matrix that exercise distinct
-/// comparison/branch behaviour (a subset keeps release runtime sane).
-fn matrix_distributions() -> Vec<Distribution> {
-    vec![
-        Distribution::Uniform,
-        Distribution::Sorted,
-        Distribution::FewDistinct { distinct: 16 },
-    ]
-}
-
-/// The pooled-versus-spawn engine matrix (the acceptance scenario).
-///
-/// Every cell sorts the same input under both parallel engines and
-/// asserts byte-identical output, counters (including per-unit cache
-/// statistics) and simulated time before reporting the wall-clock ratio.
-pub fn matrix_parallel(max_log_n: u32) -> Vec<WallClockRow> {
-    let sorter = GpuAbiSorter::new(SortConfig::default());
-    let mut rows = Vec::new();
-    let top = max_log_n.clamp(10, 16);
-    let sizes: Vec<usize> = (10..=top).step_by(2).map(|log| 1usize << log).collect();
-    for &n in &sizes {
-        for dist in matrix_distributions() {
-            let input = workloads::generate(dist, n, 2006 + n as u64);
-
-            let mut pooled =
-                StreamProcessor::with_mode(GpuProfile::geforce_7800(), ExecMode::Parallel);
-            pooled.set_plan_mode(PlanMode::Staged);
-            // Force pool creation outside the measurement: the unit
-            // threads are a one-time cost a long-lived processor has
-            // already paid. Warm the plan cache likewise: a long-lived
-            // sorter records each problem shape once.
-            pooled.launch("warmup", 1, |_ctx| {}).expect("warmup");
-            sorter.sort_run(&mut pooled, &input).expect("plan warmup");
-            let (pooled_ms, pooled_run) =
-                time_ms_best_of(5, || sorter.sort_run(&mut pooled, &input));
-            let pooled_run = pooled_run.expect("pooled sort failed");
-
-            let mut spawn =
-                StreamProcessor::with_mode(GpuProfile::geforce_7800(), ExecMode::SpawnParallel);
-            spawn.set_plan_mode(PlanMode::Eager);
-            let (spawn_ms, spawn_run) = time_ms_best_of(3, || sorter.sort_run(&mut spawn, &input));
-            let spawn_run = spawn_run.expect("spawn sort failed");
-
-            // Live byte-identity check: the engines (including staged
-            // versus eager plan interpretation) must be indistinguishable
-            // in everything but wall-clock time.
-            assert_eq!(pooled_run.output, spawn_run.output, "output diverged");
-            assert_eq!(pooled_run.counters, spawn_run.counters, "counters diverged");
-            assert_eq!(
-                pooled_run.sim_time.total_ms, spawn_run.sim_time.total_ms,
-                "simulated time diverged"
-            );
-
-            rows.push(row(
-                "matrix-parallel",
-                format!("n={n} {}", dist.name()),
-                n,
-                spawn_ms,
-                pooled_ms,
-                pooled_run.sim_time.total_ms,
-            ));
-        }
-    }
-    rows
-}
-
 /// The accounting matrix: many sequential sorts on one pooled processor —
 /// the reference per-access cost model with the default arena refill
 /// versus the batched accounting with zero-fill elision.
@@ -228,14 +116,12 @@ pub fn matrix_sequential_cases(cases: &[(usize, usize)]) -> Vec<WallClockRow> {
         // ratio alike instead of whichever engine happened to run later.
         let mut batched = StreamProcessor::new(GpuProfile::geforce_7800());
         batched.set_accounting_mode(AccountingMode::Batched);
-        batched.set_plan_mode(PlanMode::Staged);
         batched.arena().set_enabled(true);
         batched.arena().set_elision(true);
         run_all(&mut batched);
 
         let mut reference = StreamProcessor::new(GpuProfile::geforce_7800());
         reference.set_accounting_mode(AccountingMode::PerAccess);
-        reference.set_plan_mode(PlanMode::Eager);
         reference.arena().set_enabled(true);
         reference.arena().set_elision(false);
         run_all(&mut reference);
@@ -275,131 +161,6 @@ pub fn matrix_sequential_cases(cases: &[(usize, usize)]) -> Vec<WallClockRow> {
     rows
 }
 
-/// Run `f` under the full **reference engine** process defaults —
-/// per-access accounting, no buffer pooling, no zero-fill elision, eager
-/// per-run planning — and restore the current-engine defaults (batched,
-/// pooled, eliding, staged plans) afterwards. The process-wide knobs exist
-/// exactly for these scenarios: the service and the sharded sorter
-/// construct their slot processors internally, so the engine generation
-/// cannot be threaded through as a parameter.
-fn under_reference_engine<R>(f: impl FnOnce() -> R) -> R {
-    stream_arch::kernel::set_accounting_default(AccountingMode::PerAccess);
-    arena::set_pooling_default(false);
-    arena::set_elision_default(false);
-    executor::set_plan_mode_default(PlanMode::Eager);
-    let r = f();
-    stream_arch::kernel::set_accounting_default(AccountingMode::Batched);
-    arena::set_pooling_default(true);
-    arena::set_elision_default(true);
-    executor::set_plan_mode_default(PlanMode::Staged);
-    r
-}
-
-/// E19 (batched sorting service) timed end to end, reference engine
-/// (per-access accounting, no pooling, no elision) versus the current
-/// engine; results are asserted identical either way.
-pub fn service_e19(jobs: usize) -> Vec<WallClockRow> {
-    let mix = RequestMix::small_job_heavy(jobs);
-    let run_once = || {
-        let service = SortService::new(ServiceConfig::default());
-        let jobs = SortJob::from_requests(mix.generate(crate::service::SCENARIO_SEED));
-        let elements: usize = jobs.iter().map(SortJob::len).sum();
-        let report = service.process(jobs).expect("service run failed");
-        (
-            elements,
-            report.metrics.jobs_completed,
-            report.metrics.throughput_kelems_per_s,
-        )
-    };
-
-    // Interleaved repetitions (see `matrix_sequential_cases`): slow host
-    // drift cancels in the ratio.
-    under_reference_engine(run_once); // untimed warm-up
-    run_once();
-    let mut baseline_ms = f64::INFINITY;
-    let mut current_ms = f64::INFINITY;
-    let mut off = None;
-    let mut on = None;
-    for _ in 0..5 {
-        let (b, r_off) = under_reference_engine(|| time_ms(run_once));
-        baseline_ms = baseline_ms.min(b);
-        off = Some(r_off);
-        let (c, r_on) = time_ms(run_once);
-        current_ms = current_ms.min(c);
-        on = Some(r_on);
-    }
-    let (off, on) = (off.expect("reps > 0"), on.expect("reps > 0"));
-    assert_eq!(on, off, "the engine generation changed service metrics");
-
-    vec![row(
-        "service-e19",
-        format!("{jobs} jobs small-job-heavy"),
-        on.0,
-        baseline_ms,
-        current_ms,
-        0.0,
-    )]
-}
-
-/// E20 (sharded multi-device sort) timed, reference engine versus the
-/// current engine (see [`service_e19`]).
-pub fn sharded_e20(n: usize) -> Vec<WallClockRow> {
-    let input = workloads::uniform(n, 42);
-    let sharder = ShardedSorter::default();
-    let run_once = || {
-        let mut pool: Vec<StreamProcessor> = (0..4)
-            .map(|_| StreamProcessor::new(GpuProfile::geforce_7800()))
-            .collect();
-        let run = sharder.sort_run(&mut pool, &input).expect("sharded sort");
-        (run.output, run.sim_ms)
-    };
-
-    // Interleaved repetitions (see `matrix_sequential_cases`): slow host
-    // drift cancels in the ratio.
-    under_reference_engine(run_once); // untimed warm-up
-    run_once();
-    let mut baseline_ms = f64::INFINITY;
-    let mut current_ms = f64::INFINITY;
-    let mut off = None;
-    let mut on = None;
-    for _ in 0..3 {
-        let (b, r_off) = under_reference_engine(|| time_ms(run_once));
-        baseline_ms = baseline_ms.min(b);
-        off = Some(r_off);
-        let (c, r_on) = time_ms(run_once);
-        current_ms = current_ms.min(c);
-        on = Some(r_on);
-    }
-    let (out_off, sim_off) = off.expect("reps > 0");
-    let (out_on, sim_on) = on.expect("reps > 0");
-    assert_eq!(
-        out_on, out_off,
-        "the engine generation changed sharded output"
-    );
-    assert_eq!(
-        sim_on, sim_off,
-        "the engine generation changed sharded simulated time"
-    );
-
-    vec![row(
-        "sharded-e20",
-        format!("n={n} over 4 slots"),
-        n,
-        baseline_ms,
-        current_ms,
-        sim_on,
-    )]
-}
-
-/// The full E21 suite (what `repro --scenario wallclock` runs).
-pub fn wallclock_suite(max_log_n: u32) -> Vec<WallClockRow> {
-    let mut rows = matrix_parallel(max_log_n);
-    rows.extend(matrix_sequential());
-    rows.extend(service_e19(if max_log_n >= 18 { 300 } else { 120 }));
-    rows.extend(sharded_e20(1usize << max_log_n.clamp(14, 19)));
-    rows
-}
-
 /// Geometric-mean speedup of the given rows (the acceptance aggregate of
 /// the matrix scenarios).
 pub fn geometric_mean_speedup(rows: &[WallClockRow]) -> f64 {
@@ -417,7 +178,7 @@ pub fn geometric_mean_speedup(rows: &[WallClockRow]) -> f64 {
 /// Render the wall-clock rows as a report table.
 pub fn render_wallclock(rows: &[WallClockRow]) -> String {
     let mut out = String::from(
-        "E21 — wall-clock: pooled kernel workers + stream arenas vs the per-launch engine\n",
+        "E21 — wall-clock: batched accounting + zero-fill elision vs the per-access reference\n",
     );
     out.push_str(&format!(
         "{:>18} | {:>26} | {:>13} | {:>12} | {:>8} | {:>10}\n",
@@ -429,17 +190,6 @@ pub fn render_wallclock(rows: &[WallClockRow]) -> String {
             r.scenario, r.case, r.baseline_ms, r.current_ms, r.speedup, r.sim_ms
         ));
     }
-    let matrix: Vec<WallClockRow> = rows
-        .iter()
-        .filter(|r| r.scenario == "matrix-parallel")
-        .cloned()
-        .collect();
-    if !matrix.is_empty() {
-        out.push_str(&format!(
-            "matrix-parallel geometric-mean speedup: {:.2}x (acceptance floor: 3x)\n",
-            geometric_mean_speedup(&matrix)
-        ));
-    }
     let sequential: Vec<WallClockRow> = rows
         .iter()
         .filter(|r| r.scenario == "matrix-sequential")
@@ -448,7 +198,7 @@ pub fn render_wallclock(rows: &[WallClockRow]) -> String {
     if !sequential.is_empty() {
         out.push_str(&format!(
             "matrix-sequential geometric-mean speedup: {:.2}x (acceptance floor: 1.5x \
-             same-binary; trajectory vs the previous committed point: see README)\n",
+             same-binary)\n",
             geometric_mean_speedup(&sequential)
         ));
     }
@@ -479,9 +229,7 @@ pub struct BaselineCheck {
 /// `host` header (absent in pre-header baselines).
 ///
 /// Engine-vs-engine speedups are only band-comparable on the same host
-/// class — the parallel matrix in particular measures thread-spawn
-/// serialization, which scales with the core count — so the gate's
-/// caller enforces the tolerance only when this matches the current
+/// class, so the gate's caller enforces the tolerance only when this matches the current
 /// host and downgrades to an advisory report otherwise (the absolute
 /// acceptance floors still gate unconditionally).
 pub fn baseline_host_cores(baseline_json: &str) -> Option<usize> {
@@ -583,18 +331,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn matrix_parallel_rows_are_identity_checked_and_positive() {
-        // Debug-mode smoke on the smallest matrix: the identity assertions
-        // inside matrix_parallel are the real payload of this test.
-        let rows = matrix_parallel(10);
-        assert_eq!(rows.len(), matrix_distributions().len());
-        for r in &rows {
-            assert!(r.baseline_ms > 0.0 && r.current_ms > 0.0);
-            assert!(r.sim_ms > 0.0);
-        }
-    }
-
-    #[test]
     fn matrix_sequential_rows_are_identity_checked_and_positive() {
         // Debug-mode smoke on a tiny matrix: the byte-identity assertions
         // (per-access + refill vs batched + elision) inside
@@ -629,27 +365,21 @@ mod tests {
     fn gate_passes_within_tolerance_and_fails_beyond_it() {
         let baseline = vec![
             super::row("matrix-sequential", "a".into(), 1, 10.0, 2.5, 0.0), // 4x
-            super::row("matrix-parallel", "b".into(), 1, 12.0, 1.0, 0.0),   // 12x
+            super::row("matrix-sequential", "b".into(), 1, 12.0, 1.0, 0.0), // 12x
         ];
         let doc = baseline_doc(&baseline);
         // Current run: first row dropped to 3.2x (within 25% of 4x),
         // second dropped to 8x (beyond 25% of 12x → floor 9x).
         let current = vec![
             super::row("matrix-sequential", "a".into(), 1, 8.0, 2.5, 0.0),
-            super::row("matrix-parallel", "b".into(), 1, 8.0, 1.0, 0.0),
+            super::row("matrix-sequential", "b".into(), 1, 8.0, 1.0, 0.0),
         ];
         let checks = check_against_baseline(&current, &doc, 0.25).unwrap();
         assert_eq!(checks.len(), 2);
-        let seq = checks
-            .iter()
-            .find(|c| c.scenario == "matrix-sequential")
-            .unwrap();
-        let par = checks
-            .iter()
-            .find(|c| c.scenario == "matrix-parallel")
-            .unwrap();
-        assert!(seq.ok, "3.2x against a 3x floor must pass: {seq:?}");
-        assert!(!par.ok, "8x against a 9x floor must fail: {par:?}");
+        let a = checks.iter().find(|c| c.case == "a").unwrap();
+        let b = checks.iter().find(|c| c.case == "b").unwrap();
+        assert!(a.ok, "3.2x against a 3x floor must pass: {a:?}");
+        assert!(!b.ok, "8x against a 9x floor must fail: {b:?}");
         assert!(render_baseline_checks(&checks, 0.25).contains("REGRESSED"));
     }
 

@@ -6,11 +6,11 @@
 //! inside [`bench::wallclock::matrix_sequential`] itself).
 //!
 //! The floor is deliberately below the ≥2× *trajectory* improvement the
-//! README's Performance table records against the PR-4 committed
-//! `BENCH_WALL.json` point: the same-binary per-access reference already
-//! benefits from this PR's shared access-path work (allocation-free block
-//! sets, single-add locates, lazy cache resets), so it is a strictly
-//! harder baseline than the engine the previous trajectory point measured.
+//! README's Performance table records against an earlier committed
+//! `BENCH_WALL.json` point: the same-binary per-access reference shares
+//! the access-path work (allocation-free block sets, single-add locates,
+//! lazy cache resets), so it is a strictly harder baseline than the
+//! engine that trajectory point measured.
 //!
 //! `#[ignore]`d in the debug tier-1 suite — wall-clock ratios are a
 //! release-profile workload; CI runs it with

@@ -546,9 +546,7 @@ pub fn value_to_key<K: SortKey>(value: &Value) -> K {
 
 /// Pack an encoded `u64` into a [`WideRecord`]: the encoding fills the
 /// first eight key bytes big-endian (so lexicographic record order is
-/// numeric `u64` order), the payload carries the record handle. This is
-/// the codec behind the deprecated `value_to_record` free function: a
-/// [`Value`] maps to exactly the record its encoding produces here.
+/// numeric `u64` order), the payload carries the record handle.
 #[inline]
 pub fn encoded_to_record(encoded: u64, payload: u64) -> WideRecord {
     let mut key = [0u8; KEY_BYTES];

@@ -19,7 +19,7 @@
 //! keeps the views free of per-instance mutable state so that instances can
 //! run on any processor unit. Because positions are derived from the
 //! instance index alone, distinct instances never write the same location —
-//! that is what makes the parallel executor sound.
+//! which is what lets a launch's instances run on any unit, in any order.
 //!
 //! Scatter (random-access writes) is simply not expressible: [`WriteView`]
 //! has no indexed write method. This is the architectural restriction the
@@ -43,33 +43,6 @@ fn words(bytes: usize) -> u64 {
     (bytes as u64).div_ceil(4).max(1)
 }
 
-static ACCOUNTING_BATCHED_DEFAULT: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(true);
-
-/// Set the [`AccountingMode`] newly created processors start in (default
-/// [`AccountingMode::Batched`]).
-///
-/// This is a measurement knob for the wall-clock harness, mirroring
-/// [`crate::arena::set_pooling_default`]: scenarios that construct their
-/// processors internally (the sorting service, the sharded sorter) can be
-/// timed under the reference per-access model without threading a
-/// parameter through every layer. Results are byte-identical either way.
-pub fn set_accounting_default(mode: AccountingMode) {
-    ACCOUNTING_BATCHED_DEFAULT.store(
-        mode == AccountingMode::Batched,
-        std::sync::atomic::Ordering::Relaxed,
-    );
-}
-
-/// The process-wide default accounting mode for new processors.
-pub fn accounting_default() -> AccountingMode {
-    if ACCOUNTING_BATCHED_DEFAULT.load(std::sync::atomic::Ordering::Relaxed) {
-        AccountingMode::Batched
-    } else {
-        AccountingMode::PerAccess
-    }
-}
-
 /// How a [`KernelCtx`] charges the per-access cost model.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum AccountingMode {
@@ -82,8 +55,9 @@ pub enum AccountingMode {
     #[default]
     Batched,
     /// The original reference model: every access updates the shared
-    /// counters and probes the cache individually. Kept for the wall-clock
-    /// harness (E21 measures batched against it) and the identity tests.
+    /// counters and probes the cache individually. This is the cost
+    /// model's specification: the identity tests and E21's accounting row
+    /// compare [`AccountingMode::Batched`] against it.
     PerAccess,
 }
 
@@ -581,46 +555,27 @@ impl<'a> KernelCtx<'a> {
 }
 
 /// A linear (streaming-read) input view: the paper's `in stream<T>`.
-///
-/// The source is held as a raw pointer rather than a `&[T]`: a staged
-/// stage-fused epoch binds the views of *every* node of the stage up
-/// front, so a view may legitimately coexist with a [`WriteView`] of the
-/// same stream belonging to a later sub-launch. The epoch's barriers order
-/// every read strictly before/after any overlapping write, exactly as the
-/// eager engine's launch boundaries did; a stored shared reference would
-/// turn that well-ordered sharing into language-level UB.
 pub struct ReadView<'a, T> {
-    data: *const T,
-    len: usize,
+    data: &'a [T],
     stream_id: u64,
     layout: Layout,
     blocks: BlockSet,
     per_instance: usize,
-    _marker: PhantomData<&'a [T]>,
 }
-
-// SAFETY: the view only reads plain-old-data elements through a pointer
-// valid for 'a; cross-thread use is ordered by the executor (launch or
-// stage-epoch barriers) exactly like `WriteView`.
-unsafe impl<'a, T: StreamElement> Send for ReadView<'a, T> {}
-unsafe impl<'a, T: StreamElement> Sync for ReadView<'a, T> {}
 
 impl<'a, T: StreamElement> ReadView<'a, T> {
     /// Bind an input substream. Each kernel instance reads exactly
     /// `per_instance` elements from it.
     pub fn new(stream: &'a Stream<T>, blocks: BlockSet, per_instance: usize) -> Result<Self> {
         stream.check_blocks(&blocks)?;
-        let slice = stream.as_slice();
         Ok(ReadView {
-            data: slice.as_ptr(),
-            len: slice.len(),
+            data: stream.as_slice(),
             // The cache model keys on the stable name-derived tag so that
             // identical runs charge identical cache behaviour.
             stream_id: stream.cache_tag(),
             layout: stream.layout(),
             blocks,
             per_instance,
-            _marker: PhantomData,
         })
     }
 
@@ -658,12 +613,11 @@ impl<'a, T: StreamElement> ReadView<'a, T> {
         }
         let global = self.blocks.locate(pos);
         ctx.charge_read(self.stream_id, self.layout, global, T::BYTES);
-        debug_assert!(global < self.len);
+        debug_assert!(global < self.data.len());
         // SAFETY: `check_blocks` validated every block against the stream
-        // length at view creation, so `global < self.len`; ordering against
-        // concurrent writers is the executor's launch/barrier discipline
-        // (see the type-level comment).
-        unsafe { *self.data.add(global) }
+        // length at view creation, and `pos < blocks.total()` was checked
+        // above, so `global < self.data.len()`.
+        unsafe { *self.data.get_unchecked(global) }
     }
 
     /// Read the first two slots as a pair (`read_from_stream` twice).
@@ -689,13 +643,13 @@ impl<'a, T: StreamElement> ReadView<'a, T> {
                 if pos0 + out.len() <= self.blocks.total() {
                     let g0 = start + pos0;
                     ctx.charge_read_range(self.stream_id, self.layout, g0, out.len(), T::BYTES);
-                    debug_assert!(g0 + out.len() <= self.len);
+                    debug_assert!(g0 + out.len() <= self.data.len());
                     // SAFETY: the contiguous block was validated against the
                     // stream length at view creation and `pos0 + out.len()`
-                    // is within it; see the type-level comment for ordering.
+                    // is within it, so `g0 + out.len() <= self.data.len()`.
                     unsafe {
                         std::ptr::copy_nonoverlapping(
-                            self.data.add(g0),
+                            self.data.as_ptr().add(g0),
                             out.as_mut_ptr(),
                             out.len(),
                         );
@@ -714,61 +668,45 @@ impl<'a, T: StreamElement> ReadView<'a, T> {
 }
 
 /// A random-access (gather) input view: the paper's `gather stream<T>`.
-///
-/// Raw-pointer based for the same reason as [`ReadView`]: a stage-fused
-/// epoch may hold this view alongside a [`WriteView`] of the same stream
-/// owned by a different sub-launch, with the epoch barriers providing the
-/// ordering the eager launch boundaries used to.
 pub struct GatherView<'a, T> {
-    data: *const T,
-    len: usize,
+    data: &'a [T],
     stream_id: u64,
     layout: Layout,
-    _marker: PhantomData<&'a [T]>,
 }
-
-// SAFETY: see `ReadView` — read-only plain-old-data access through a
-// pointer valid for 'a, ordered by the executor.
-unsafe impl<'a, T: StreamElement> Send for GatherView<'a, T> {}
-unsafe impl<'a, T: StreamElement> Sync for GatherView<'a, T> {}
 
 impl<'a, T: StreamElement> GatherView<'a, T> {
     /// Bind a whole stream for gather access.
     pub fn new(stream: &'a Stream<T>) -> Self {
-        let slice = stream.as_slice();
         GatherView {
-            data: slice.as_ptr(),
-            len: slice.len(),
+            data: stream.as_slice(),
             stream_id: stream.cache_tag(),
             layout: stream.layout(),
-            _marker: PhantomData,
         }
     }
 
     /// Length of the gather stream.
     pub fn len(&self) -> usize {
-        self.len
+        self.data.len()
     }
 
     /// Whether the gather stream is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.data.is_empty()
     }
 
     /// Random read of element `index` (the paper's `bitonicTrees[pidx]`).
     #[inline]
     pub fn gather(&self, ctx: &mut KernelCtx<'_>, index: usize) -> T {
-        if index >= self.len {
+        if index >= self.data.len() {
             ctx.record_error(StreamError::GatherOutOfBounds {
-                stream_len: self.len,
+                stream_len: self.data.len(),
                 index,
             });
             return T::default();
         }
         ctx.charge_gather(self.stream_id, self.layout, index, T::BYTES);
-        // SAFETY: `index < self.len` was just checked; ordering against
-        // concurrent writers is the executor's launch/barrier discipline.
-        unsafe { *self.data.add(index) }
+        // SAFETY: `index < self.data.len()` was just checked.
+        unsafe { *self.data.get_unchecked(index) }
     }
 
     /// Gather the consecutive elements `[start, start + out.len())` into
@@ -777,11 +715,15 @@ impl<'a, T: StreamElement> GatherView<'a, T> {
     /// as one block in batched-accounting mode.
     #[inline]
     pub fn gather_range(&self, ctx: &mut KernelCtx<'_>, start: usize, out: &mut [T]) {
-        if ctx.batched && start + out.len() <= self.len {
+        if ctx.batched && start + out.len() <= self.data.len() {
             ctx.charge_gather_range(self.stream_id, self.layout, start, out.len(), T::BYTES);
-            // SAFETY: the range was just bounds-checked; ordering as above.
+            // SAFETY: the range was just bounds-checked.
             unsafe {
-                std::ptr::copy_nonoverlapping(self.data.add(start), out.as_mut_ptr(), out.len());
+                std::ptr::copy_nonoverlapping(
+                    self.data.as_ptr().add(start),
+                    out.as_mut_ptr(),
+                    out.len(),
+                );
             }
             return;
         }
@@ -794,10 +736,12 @@ impl<'a, T: StreamElement> GatherView<'a, T> {
 /// A linear output view: the paper's `out stream<T>` written with
 /// `push_onto_stream`.
 ///
-/// Internally the destination slice is shared between processor units
-/// through an [`UnsafeCell`]; soundness rests on the positional access rule
-/// (instance `i` writes only logical positions `i·r .. (i+1)·r`, which are
-/// disjoint across instances) enforced by the slot API.
+/// Internally the destination slice is shared between kernel instances
+/// through an [`UnsafeCell`] (kernels are `Fn`, so they write through
+/// `&self`); soundness rests on the positional access rule (instance `i`
+/// writes only logical positions `i·r .. (i+1)·r`, which are disjoint
+/// across instances) enforced by the slot API. `UnsafeCell` keeps the view
+/// `!Sync`, so it cannot be shared across threads.
 pub struct WriteView<'a, T> {
     data: &'a UnsafeCell<[T]>,
     stream_id: u64,
@@ -806,12 +750,6 @@ pub struct WriteView<'a, T> {
     per_instance: usize,
     _marker: PhantomData<&'a mut Stream<T>>,
 }
-
-// SAFETY: distinct kernel instances write disjoint positions (derived from
-// the instance index), and the executor never runs the same instance on two
-// units. Reads of the written data happen only after the launch returns.
-unsafe impl<'a, T: StreamElement> Send for WriteView<'a, T> {}
-unsafe impl<'a, T: StreamElement> Sync for WriteView<'a, T> {}
 
 impl<'a, T: StreamElement> WriteView<'a, T> {
     /// Bind an output substream. Each kernel instance writes exactly

@@ -34,9 +34,9 @@
 //! differ, but the quantities the paper's claims rest on (operation counts,
 //! total work, locality, scaling with `p`) are charged faithfully.
 //!
-//! The kernels are *actually executed* (on the host CPU, optionally on `p`
-//! worker threads via [`executor::StreamProcessor`]), so every experiment
-//! also verifies functional correctness of the sorting algorithms.
+//! The kernels are *actually executed* on the host CPU, on the calling
+//! thread (see [`executor::StreamProcessor`]), so every experiment also
+//! verifies functional correctness of the sorting algorithms.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -57,7 +57,7 @@ pub mod value;
 pub use arena::{ArenaStats, StreamArena};
 pub use cache::{CacheConfig, CacheSim, CacheStats};
 pub use error::{Result, StreamError};
-pub use executor::{ExecMode, PlanMode, StageCopy, StageFusion, StreamProcessor, SubLaunch};
+pub use executor::{ExecMode, StreamProcessor};
 pub use kernel::{AccountingMode, GatherView, IterStream, KernelCtx, ReadView, WriteView};
 pub use layout::{Addr2D, Layout, Mapping1Dto2D, RowMajor2D, ZOrder2D};
 pub use metrics::{CostBreakdown, Counters, SimTime};

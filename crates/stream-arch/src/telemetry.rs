@@ -26,8 +26,7 @@
 //! |---|---|---|---|
 //! | [`SIM_PID`] | slot | `batch` | one coalesced batch occupying a device slot |
 //! | [`SIM_PID`] | per-job | `job` / `queue` / `execute` | one job's span tree |
-//! | [`HOST_PID`] | per-thread | `launch` | one inline/sequential stream-operation launch |
-//! | [`HOST_PID`] | per-thread | `epoch` | one pooled worker-pool dispatch epoch |
+//! | [`HOST_PID`] | per-thread | `launch` | one stream-operation launch |
 //! | [`HOST_PID`] | per-thread | `wire` / `service` | net-server decode, micro-batch, reply spans |
 //!
 //! ## Example
@@ -284,7 +283,7 @@ pub struct HistogramSummary {
 pub const SIM_PID: u32 = 1;
 
 /// Synthetic Chrome-trace process id for spans on the *host wall-clock*
-/// timeline (executor launches, pool epochs, net-server stages;
+/// timeline (executor launches, net-server stages;
 /// timestamps are microseconds since the sink epoch).
 pub const HOST_PID: u32 = 2;
 

@@ -1,16 +1,13 @@
-//! Property tests for the persistent execution engine:
+//! Property tests for the execution engine:
 //!
-//! * the pooled parallel engine ([`ExecMode::Parallel`]) is **byte
-//!   identical** to the legacy spawn-per-launch engine
-//!   ([`ExecMode::SpawnParallel`]) — output bytes, all counters including
-//!   per-unit cache statistics, simulated time, and returned errors —
-//!   across launch shapes including 0/1-instance and error-aborted
-//!   launches;
-//! * the pooled engine agrees with the sequential reference on output
+//! * [`ExecMode::Parallel`] agrees with [`ExecMode::Sequential`] on output
 //!   bytes, all work counters, and the returned error (cache statistics
 //!   and simulated time additionally match whenever the profile has a
-//!   single unit, where the chunk schedules coincide);
-//! * repeated pooled runs are deterministic;
+//!   single unit, where the chunk schedules coincide), across launch
+//!   shapes including 0/1-instance and error-aborted launches;
+//! * repeated parallel runs are deterministic;
+//! * batched accounting is byte-identical to the per-access reference
+//!   under both modes;
 //! * the stream arena reaches a steady state: repeated sorts on one
 //!   pooled processor stop allocating — the (type, capacity-class) bin
 //!   count and pooled-buffer count do not grow, and every subsequent run
@@ -36,10 +33,8 @@ struct Shape {
 
 fn shape_strategy() -> impl Strategy<Value = Shape> {
     (
-        // Instance counts on both sides of the executor's small-launch
-        // inline threshold (256): the low arms cover the inline path and
-        // 0/1-instance degenerate shapes, the high arms force dispatch
-        // through the worker pool.
+        // Instance counts from the 0/1-instance degenerate shapes up to a
+        // few thousand, around and well above the unit counts below.
         prop_oneof![
             3 => 0usize..200,
             1 => Just(0usize),
@@ -127,52 +122,37 @@ fn run_shape_accounted(shape: &Shape, mode: ExecMode, accounting: AccountingMode
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Pooled == spawn, byte for byte: the engines differ only in host
-    /// scheduling, so every observable — including per-unit cache stats,
-    /// simulated time and error values — must coincide.
-    #[test]
-    fn pooled_engine_is_byte_identical_to_spawn_engine(shape in shape_strategy()) {
-        let pooled = run_shape(&shape, ExecMode::Parallel);
-        let spawn = run_shape(&shape, ExecMode::SpawnParallel);
-        prop_assert_eq!(&pooled.output, &spawn.output);
-        prop_assert_eq!(&pooled.counters, &spawn.counters);
-        prop_assert_eq!(&pooled.sim_time, &spawn.sim_time);
-        prop_assert_eq!(&pooled.errors, &spawn.errors);
-    }
-
-    /// Pooled == sequential on everything the chunk schedule cannot
+    /// Parallel == sequential on everything the chunk schedule cannot
     /// change: output bytes, launches/steps, instances, comparisons, and
     /// the returned error (always the error of the smallest failing
     /// instance). On single-unit profiles the schedules coincide, so
     /// cache statistics and simulated time must match too.
     #[test]
     fn pooled_engine_matches_the_sequential_reference(shape in shape_strategy()) {
-        let pooled = run_shape(&shape, ExecMode::Parallel);
+        let par = run_shape(&shape, ExecMode::Parallel);
         let seq = run_shape(&shape, ExecMode::Sequential);
-        prop_assert_eq!(&pooled.errors, &seq.errors);
-        prop_assert_eq!(pooled.counters.launches, seq.counters.launches);
-        prop_assert_eq!(pooled.counters.steps, seq.counters.steps);
-        prop_assert_eq!(pooled.counters.kernel_instances, seq.counters.kernel_instances);
+        prop_assert_eq!(&par.errors, &seq.errors);
+        prop_assert_eq!(par.counters.launches, seq.counters.launches);
+        prop_assert_eq!(par.counters.steps, seq.counters.steps);
+        prop_assert_eq!(par.counters.kernel_instances, seq.counters.kernel_instances);
         if shape.fail_at.is_none() {
             // Error-free launches execute every instance in both modes, so
             // the work counters and output coincide exactly. (An aborted
-            // sequential launch stops at the failing instance while other
-            // parallel units still run their chunks — the pre-existing
-            // abort semantics, pinned byte-identically by the
-            // pooled-vs-spawn property above.)
-            prop_assert_eq!(&pooled.output, &seq.output);
-            prop_assert_eq!(pooled.counters.comparisons, seq.counters.comparisons);
-            prop_assert_eq!(pooled.counters.stream_reads, seq.counters.stream_reads);
-            prop_assert_eq!(pooled.counters.stream_writes, seq.counters.stream_writes);
-            prop_assert_eq!(pooled.counters.gathers, seq.counters.gathers);
+            // sequential launch stops at the failing instance while the
+            // other parallel units still run their chunks.)
+            prop_assert_eq!(&par.output, &seq.output);
+            prop_assert_eq!(par.counters.comparisons, seq.counters.comparisons);
+            prop_assert_eq!(par.counters.stream_reads, seq.counters.stream_reads);
+            prop_assert_eq!(par.counters.stream_writes, seq.counters.stream_writes);
+            prop_assert_eq!(par.counters.gathers, seq.counters.gathers);
         }
         if shape.units == 1 {
-            prop_assert_eq!(&pooled.counters, &seq.counters);
-            prop_assert_eq!(&pooled.sim_time, &seq.sim_time);
+            prop_assert_eq!(&par.counters, &seq.counters);
+            prop_assert_eq!(&par.sim_time, &seq.sim_time);
         }
     }
 
-    /// The pooled engine is deterministic run to run.
+    /// The parallel mode is deterministic run to run.
     #[test]
     fn pooled_engine_is_deterministic(shape in shape_strategy()) {
         let first = run_shape(&shape, ExecMode::Parallel);
@@ -188,7 +168,7 @@ proptest! {
     /// and error-aborted launches.
     #[test]
     fn batched_accounting_is_byte_identical_to_per_access(shape in shape_strategy()) {
-        for mode in [ExecMode::Sequential, ExecMode::Parallel, ExecMode::SpawnParallel] {
+        for mode in [ExecMode::Sequential, ExecMode::Parallel] {
             let batched = run_shape_accounted(&shape, mode, AccountingMode::Batched);
             let reference = run_shape_accounted(&shape, mode, AccountingMode::PerAccess);
             prop_assert_eq!(&batched.output, &reference.output);
@@ -228,29 +208,6 @@ fn batched_sort_runs_are_byte_identical_to_per_access_sort_runs() {
                 dist.name()
             );
         }
-    }
-}
-
-/// Sort-level identity: a full GPU-ABiSort run under the pooled engine
-/// reproduces the sequential run's output, counters and simulated time
-/// byte-for-byte against the spawn baseline, across distributions.
-#[test]
-fn pooled_sort_runs_are_byte_identical_to_spawn_sort_runs() {
-    let sorter = GpuAbiSorter::new(SortConfig::default());
-    for dist in [
-        Distribution::Uniform,
-        Distribution::Sorted,
-        Distribution::FewDistinct { distinct: 4 },
-    ] {
-        let input = workloads::generate(dist, 2048, 11);
-        let mut pooled = StreamProcessor::with_mode(GpuProfile::geforce_7800(), ExecMode::Parallel);
-        let mut spawn =
-            StreamProcessor::with_mode(GpuProfile::geforce_7800(), ExecMode::SpawnParallel);
-        let a = sorter.sort_run(&mut pooled, &input).unwrap();
-        let b = sorter.sort_run(&mut spawn, &input).unwrap();
-        assert_eq!(a.output, b.output, "{}", dist.name());
-        assert_eq!(a.counters, b.counters, "{}", dist.name());
-        assert_eq!(a.sim_time.total_ms, b.sim_time.total_ms, "{}", dist.name());
     }
 }
 
