@@ -1,11 +1,12 @@
 //! Identity and snapshot properties of the launch-graph planner:
 //!
-//! * **A cached plan replays byte for byte.** Replaying a sorter's cached
-//!   [`SortPlan`] must be indistinguishable from a fresh sorter's first
-//!   run, which records the plan — output bytes, every counter (including
-//!   per-unit cache statistics), and simulated time — under both
-//!   execution modes × both accounting modes, for full sorts, segmented
-//!   batch sorts, and block merges.
+//! * **Staged == eager, byte for byte.** Replaying a sorter's cached,
+//!   stage-partitioned [`SortPlan`] ("staged") must be indistinguishable
+//!   from a fresh sorter that records the plan as it runs ("eager") —
+//!   output bytes, every counter (including per-unit cache statistics),
+//!   and simulated time — under both execution modes × both accounting
+//!   modes, for full sorts, segmented batch sorts, and block merges. Plan
+//!   caching is a wall-clock-only optimization.
 //! * **Plans are cached per problem shape**, and clones of a sorter share
 //!   the cache.
 //! * **The plan dump is pinned** against a committed golden snapshot
@@ -38,52 +39,94 @@ fn alternating_blocks(n: usize, block: usize) -> Vec<Value> {
     values
 }
 
-/// Full sorts (including sizes below the Section 7 optimization cutoff and
-/// non-power-of-two lengths), one segmented batch sort and one block
-/// merge: output, counters and simulated time of each.
-fn run_every_shape(
-    sorter: &GpuAbiSorter,
+const MODES: [ExecMode; 2] = [ExecMode::Sequential, ExecMode::Parallel];
+const ACCOUNTING: [AccountingMode; 2] = [AccountingMode::Batched, AccountingMode::PerAccess];
+
+type RunRecord = (Vec<Value>, Counters, f64);
+
+/// Runs `shape` once on `cached` to record its plan (if it runs one), then
+/// returns `(staged, eager)`: a replay of that cached plan, and the first
+/// run of a fresh sorter on a fresh processor, which records the plan as
+/// it runs.
+fn staged_and_eager(
+    cached: &GpuAbiSorter,
     proc: &mut StreamProcessor,
-) -> Vec<(Vec<Value>, Counters, f64)> {
-    let mut records = Vec::new();
-    for (n, dist) in [
-        (8usize, Distribution::Uniform),
-        (257, Distribution::Sorted),
-        (2048, Distribution::FewDistinct { distinct: 4 }),
-    ] {
-        let run = sorter
-            .sort_run(proc, &workloads::generate(dist, n, 23))
-            .unwrap();
-        records.push((run.output, run.counters, run.sim_time.total_ms));
-    }
-    let run = sorter
-        .sort_segments_run(proc, &workloads::uniform(16 * 64, 9), 64)
-        .unwrap();
-    records.push((run.output, run.counters, run.sim_time.total_ms));
-    let run = sorter
-        .merge_blocks_run(proc, &alternating_blocks(1024, 128), 128)
-        .unwrap();
-    records.push((run.output, run.counters, run.sim_time.total_ms));
-    records
+    mode: ExecMode,
+    accounting: AccountingMode,
+    shape: impl Fn(&GpuAbiSorter, &mut StreamProcessor) -> RunRecord,
+) -> (RunRecord, RunRecord) {
+    shape(cached, proc);
+    let plans = cached.cached_plans();
+    let staged = shape(cached, proc);
+    assert_eq!(cached.cached_plans(), plans, "a replay records nothing");
+    let fresh = GpuAbiSorter::new(SortConfig::default());
+    let eager = shape(&fresh, &mut processor(mode, accounting));
+    (staged, eager)
 }
 
-/// A replay of cached plans is byte-identical to a fresh sorter's first
-/// run, under every execution mode × accounting mode.
+/// Full sorts: a cached-plan replay must produce byte-identical run
+/// records to a fresh recording under every engine combination, including
+/// sizes below the Section 7 optimization cutoff and non-power-of-two
+/// lengths.
 #[test]
-fn cached_plan_replays_are_byte_identical_to_first_runs() {
-    for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-        for accounting in [AccountingMode::Batched, AccountingMode::PerAccess] {
+fn staged_sort_runs_are_byte_identical_to_eager_sort_runs() {
+    for mode in MODES {
+        for accounting in ACCOUNTING {
             let cached = GpuAbiSorter::new(SortConfig::default());
             let mut proc = processor(mode, accounting);
-            run_every_shape(&cached, &mut proc);
-            let plans = cached.cached_plans();
-            assert!(plans > 0, "the first pass must record plans");
-            let replay = run_every_shape(&cached, &mut proc);
-            assert_eq!(cached.cached_plans(), plans, "a replay records nothing");
+            for (n, dist) in [
+                (8usize, Distribution::Uniform),
+                (257, Distribution::Sorted),
+                (2048, Distribution::FewDistinct { distinct: 4 }),
+            ] {
+                let input = workloads::generate(dist, n, 23);
+                let (staged, eager) =
+                    staged_and_eager(&cached, &mut proc, mode, accounting, |sorter, proc| {
+                        let run = sorter.sort_run(proc, &input).unwrap();
+                        (run.output, run.counters, run.sim_time.total_ms)
+                    });
+                let label = format!("{mode:?}/{accounting:?} {} n={n}", dist.name());
+                assert_eq!(staged.0, eager.0, "output diverged: {label}");
+                assert_eq!(staged.1, eager.1, "counters diverged: {label}");
+                assert_eq!(staged.2, eager.2, "simulated time diverged: {label}");
+            }
+            assert!(cached.cached_plans() > 0, "the sorts must record plans");
+        }
+    }
+}
 
-            let fresh = GpuAbiSorter::new(SortConfig::default());
-            let first = run_every_shape(&fresh, &mut processor(mode, accounting));
-            assert_eq!(replay, first, "{mode:?}/{accounting:?}");
+/// Segmented batch sorts and block merges — the service paths — replayed
+/// from the cache against a fresh recording, under every engine
+/// combination.
+#[test]
+fn staged_segment_and_block_merge_runs_match_eager() {
+    let segmented_input = workloads::uniform(16 * 64, 9);
+    let merge_input = alternating_blocks(1024, 128);
+    for mode in MODES {
+        for accounting in ACCOUNTING {
+            let cached = GpuAbiSorter::new(SortConfig::default());
+            let mut proc = processor(mode, accounting);
+            let label = format!("{mode:?}/{accounting:?}");
+
+            let (staged, eager) =
+                staged_and_eager(&cached, &mut proc, mode, accounting, |sorter, proc| {
+                    let run = sorter
+                        .sort_segments_run(proc, &segmented_input, 64)
+                        .unwrap();
+                    (run.output, run.counters, run.sim_time.total_ms)
+                });
+            assert_eq!(staged, eager, "segmented sort diverged: {label}");
+
+            let (staged, eager) =
+                staged_and_eager(&cached, &mut proc, mode, accounting, |sorter, proc| {
+                    let run = sorter.merge_blocks_run(proc, &merge_input, 128).unwrap();
+                    (run.output, run.counters, run.sim_time.total_ms)
+                });
+            assert_eq!(staged, eager, "block merge diverged: {label}");
+            assert!(
+                cached.cached_plans() > 0,
+                "the service paths must record plans"
+            );
         }
     }
 }
