@@ -1,13 +1,9 @@
-//! The kernel programs of GPU-ABiSort and their launch wrappers.
+//! The kernel programs of GPU-ABiSort, one launch function each.
 //!
-//! Each kernel comes in two forms:
-//!
-//! * a **bound form** (`bind_*` returning a `*Bound` struct) that performs
-//!   the hardware validation and binds the input/gather/output substream
-//!   views *without launching*;
-//! * a **launch wrapper** (the original free function) that binds and
-//!   launches in one call, used by tests and by the planner's
-//!   interpreter.
+//! Every function performs the hardware validation (distinct input and
+//! output streams, Section 6.1), binds its input/gather/output substream
+//! views and issues one processor launch under a fixed launch name. The
+//! sort driver calls them from its launch list; tests call them directly.
 //!
 //! The kernels correspond to the paper's pseudo code and Section 7
 //! descriptions:
@@ -51,70 +47,6 @@ fn out_of_order(ctx: &mut KernelCtx<'_>, p: &Value, q: &Value, ascending: bool) 
     p.gt(q) == ascending
 }
 
-/// Bound form of [`extract_roots_and_spares`]: views and derived counts,
-/// ready to run.
-pub struct ExtractRootsSparesBound<'a> {
-    gather: GatherView<'a, Node>,
-    out: WriteView<'a, Node>,
-    n: usize,
-    num_trees: usize,
-    pairs_per_tree: usize,
-}
-
-/// Validate and bind [`extract_roots_and_spares`] without launching.
-pub fn bind_extract_roots_and_spares<'a>(
-    proc: &StreamProcessor,
-    trees_in: &'a Stream<Node>,
-    trees_out: &'a mut Stream<Node>,
-    n: usize,
-    j: u32,
-) -> Result<ExtractRootsSparesBound<'a>> {
-    let num_trees = n >> j;
-    let pairs_per_tree = 1usize << (j - 1);
-    proc.check_distinct_io(
-        &[(trees_in.id(), trees_in.name())],
-        &[(trees_out.id(), trees_out.name())],
-    )?;
-    let gather = GatherView::new(trees_in);
-    let out = WriteView::contiguous(trees_out, 0, 2 * num_trees, 1)?;
-    Ok(ExtractRootsSparesBound {
-        gather,
-        out,
-        n,
-        num_trees,
-        pairs_per_tree,
-    })
-}
-
-impl ExtractRootsSparesBound<'_> {
-    /// The launch name of this kernel.
-    pub const NAME: &'static str = "extract-roots-spares";
-
-    /// Number of kernel instances the launch covers.
-    pub fn instances(&self) -> usize {
-        2 * self.num_trees
-    }
-
-    /// One kernel instance (the body of Listing 5's initialization).
-    ///
-    /// Instances [0, numTrees) emit the spare values, instances
-    /// [numTrees, 2·numTrees) the root nodes, so that a single linear write
-    /// produces the layout stage 0 phase 0 expects.
-    pub fn run(&self, ctx: &mut KernelCtx<'_>) {
-        let i = ctx.instance_index();
-        if i < self.num_trees {
-            let spare_pos = self.n + (2 * i + 2) * self.pairs_per_tree - 1;
-            let spare = self.gather.gather(ctx, spare_pos);
-            self.out.set(ctx, 0, Node::leaf(spare.value));
-        } else {
-            let t = i - self.num_trees;
-            let root_pos = self.n + (2 * t + 1) * self.pairs_per_tree - 1;
-            let root = self.gather.gather(ctx, root_pos);
-            self.out.set(ctx, 0, root);
-        }
-    }
-}
-
 /// Initialization of the merge at recursion level `j` (Listing 5, before
 /// the stage loop): for each of the `numTrees` input bitonic trees, gather
 /// its root and spare node from the in-order-stored input half of the node
@@ -128,75 +60,30 @@ pub fn extract_roots_and_spares(
     n: usize,
     j: u32,
 ) -> Result<()> {
-    let b = bind_extract_roots_and_spares(proc, trees_in, trees_out, n, j)?;
-    proc.launch(ExtractRootsSparesBound::NAME, b.instances(), |ctx| {
-        b.run(ctx)
-    })
-}
-
-/// Bound form of [`phase0`].
-pub struct Phase0Bound<'a> {
-    root_in: ReadView<'a, Node>,
-    spare_in: ReadView<'a, Node>,
-    node_out: WriteView<'a, Node>,
-    pq: WriteView<'a, u32>,
-    len: usize,
-    instances_per_tree: usize,
-}
-
-/// Validate and bind [`phase0`] without launching.
-pub fn bind_phase0<'a>(
-    proc: &StreamProcessor,
-    trees_in: &'a Stream<Node>,
-    trees_out: &'a mut Stream<Node>,
-    pq_out: &'a mut Stream<u32>,
-    pq_out_offset: usize,
-    len: usize,
-    instances_per_tree: usize,
-) -> Result<Phase0Bound<'a>> {
+    let num_trees = n >> j;
+    let pairs_per_tree = 1usize << (j - 1);
     proc.check_distinct_io(
         &[(trees_in.id(), trees_in.name())],
-        &[
-            (trees_out.id(), trees_out.name()),
-            (pq_out.id(), pq_out.name()),
-        ],
+        &[(trees_out.id(), trees_out.name())],
     )?;
-    let root_in = ReadView::contiguous(trees_in, len, len, 1)?;
-    let spare_in = ReadView::contiguous(trees_in, 0, len, 1)?;
-    let node_out = WriteView::contiguous(trees_out, 0, 2 * len, 2)?;
-    let pq = WriteView::contiguous(pq_out, pq_out_offset, 2 * len, 2)?;
-    Ok(Phase0Bound {
-        root_in,
-        spare_in,
-        node_out,
-        pq,
-        len,
-        instances_per_tree,
-    })
-}
-
-impl Phase0Bound<'_> {
-    /// The launch name of this kernel.
-    pub const NAME: &'static str = "phase0";
-
-    /// Number of kernel instances the launch covers.
-    pub fn instances(&self) -> usize {
-        self.len
-    }
-
-    /// One kernel instance (the body of Listing 3).
-    pub fn run(&self, ctx: &mut KernelCtx<'_>) {
-        let ascending = ascending_for(ctx.instance_index(), self.instances_per_tree);
-        let mut root = self.root_in.get(ctx, 0);
-        let mut spare_value = self.spare_in.get(ctx, 0).value;
-        if out_of_order(ctx, &root.value, &spare_value, ascending) {
-            std::mem::swap(&mut root.value, &mut spare_value);
-            std::mem::swap(&mut root.left, &mut root.right);
+    let gather = GatherView::new(trees_in);
+    let out = WriteView::contiguous(trees_out, 0, 2 * num_trees, 1)?;
+    // Instances [0, numTrees) emit the spare values, instances
+    // [numTrees, 2·numTrees) the root nodes, so that a single linear write
+    // produces the layout stage 0 phase 0 expects.
+    proc.launch("extract-roots-spares", 2 * num_trees, |ctx| {
+        let i = ctx.instance_index();
+        if i < num_trees {
+            let spare_pos = n + (2 * i + 2) * pairs_per_tree - 1;
+            let spare = gather.gather(ctx, spare_pos);
+            out.set(ctx, 0, Node::leaf(spare.value));
+        } else {
+            let t = i - num_trees;
+            let root_pos = n + (2 * t + 1) * pairs_per_tree - 1;
+            let root = gather.gather(ctx, root_pos);
+            out.set(ctx, 0, root);
         }
-        self.pq.pair(ctx, root.left, root.right);
-        self.node_out
-            .pair(ctx, Node::leaf(root.value), Node::leaf(spare_value));
-    }
+    })
 }
 
 /// The phase 0 kernel (Listing 3): one instance per bitonic (sub)tree.
@@ -215,99 +102,28 @@ pub fn phase0(
     len: usize,
     instances_per_tree: usize,
 ) -> Result<()> {
-    let b = bind_phase0(
-        proc,
-        trees_in,
-        trees_out,
-        pq_out,
-        pq_out_offset,
-        len,
-        instances_per_tree,
-    )?;
-    proc.launch(Phase0Bound::NAME, b.instances(), |ctx| b.run(ctx))
-}
-
-/// Bound form of [`phase_i`].
-pub struct PhaseIBound<'a> {
-    pq_read: ReadView<'a, u32>,
-    gather: GatherView<'a, Node>,
-    node_out: WriteView<'a, Node>,
-    pq_write: WriteView<'a, u32>,
-    index_generator: IterStream,
-    len: usize,
-    instances_per_tree: usize,
-}
-
-/// Validate and bind [`phase_i`] without launching.
-#[allow(clippy::too_many_arguments)]
-pub fn bind_phase_i<'a>(
-    proc: &StreamProcessor,
-    trees_in: &'a Stream<Node>,
-    trees_out: &'a mut Stream<Node>,
-    pq_in: &'a Stream<u32>,
-    pq_in_offset: usize,
-    pq_out: &'a mut Stream<u32>,
-    pq_out_offset: usize,
-    out_block: (usize, usize),
-    next_block_start: usize,
-    len: usize,
-    instances_per_tree: usize,
-) -> Result<PhaseIBound<'a>> {
     proc.check_distinct_io(
-        &[(trees_in.id(), trees_in.name()), (pq_in.id(), pq_in.name())],
+        &[(trees_in.id(), trees_in.name())],
         &[
             (trees_out.id(), trees_out.name()),
             (pq_out.id(), pq_out.name()),
         ],
     )?;
-    let pq_read = ReadView::contiguous(pq_in, pq_in_offset, 2 * len, 2)?;
-    let gather = GatherView::new(trees_in);
-    let node_out = WriteView::contiguous(trees_out, out_block.0, out_block.1, 2)?;
-    let pq_write = WriteView::contiguous(pq_out, pq_out_offset, 2 * len, 2)?;
-    // The iterator stream yields the element indices the *next* phase will
-    // write to (Section 5.2), so child pointers can be redirected there.
-    let index_generator = IterStream::range(next_block_start, 2 * len, 2);
-    Ok(PhaseIBound {
-        pq_read,
-        gather,
-        node_out,
-        pq_write,
-        index_generator,
-        len,
-        instances_per_tree,
-    })
-}
-
-impl PhaseIBound<'_> {
-    /// The launch name of this kernel.
-    pub const NAME: &'static str = "phaseI";
-
-    /// Number of kernel instances the launch covers.
-    pub fn instances(&self) -> usize {
-        self.len
-    }
-
-    /// One kernel instance (the body of Listing 4).
-    pub fn run(&self, ctx: &mut KernelCtx<'_>) {
-        let ascending = ascending_for(ctx.instance_index(), self.instances_per_tree);
-        let (p_idx, q_idx) = self.pq_read.pair(ctx);
-        let mut p = self.gather.gather(ctx, p_idx as usize);
-        let mut q = self.gather.gather(ctx, q_idx as usize);
-        if out_of_order(ctx, &p.value, &q.value, ascending) {
-            std::mem::swap(&mut p.value, &mut q.value);
-            std::mem::swap(&mut p.left, &mut q.left);
-            self.pq_write.pair(ctx, p.right, q.right);
-            let (np, nq) = self.index_generator.pair(ctx);
-            p.right = np;
-            q.right = nq;
-        } else {
-            self.pq_write.pair(ctx, p.left, q.left);
-            let (np, nq) = self.index_generator.pair(ctx);
-            p.left = np;
-            q.left = nq;
+    let root_in = ReadView::contiguous(trees_in, len, len, 1)?;
+    let spare_in = ReadView::contiguous(trees_in, 0, len, 1)?;
+    let node_out = WriteView::contiguous(trees_out, 0, 2 * len, 2)?;
+    let pq = WriteView::contiguous(pq_out, pq_out_offset, 2 * len, 2)?;
+    proc.launch("phase0", len, |ctx| {
+        let ascending = ascending_for(ctx.instance_index(), instances_per_tree);
+        let mut root = root_in.get(ctx, 0);
+        let mut spare_value = spare_in.get(ctx, 0).value;
+        if out_of_order(ctx, &root.value, &spare_value, ascending) {
+            std::mem::swap(&mut root.value, &mut spare_value);
+            std::mem::swap(&mut root.left, &mut root.right);
         }
-        self.node_out.pair(ctx, p, q);
-    }
+        pq.pair(ctx, root.left, root.right);
+        node_out.pair(ctx, Node::leaf(root.value), Node::leaf(spare_value));
+    })
 }
 
 /// The phase `i > 0` kernel (Listing 4): one instance per `(p, q)` node
@@ -332,20 +148,40 @@ pub fn phase_i(
     len: usize,
     instances_per_tree: usize,
 ) -> Result<()> {
-    let b = bind_phase_i(
-        proc,
-        trees_in,
-        trees_out,
-        pq_in,
-        pq_in_offset,
-        pq_out,
-        pq_out_offset,
-        out_block,
-        next_block_start,
-        len,
-        instances_per_tree,
+    proc.check_distinct_io(
+        &[(trees_in.id(), trees_in.name()), (pq_in.id(), pq_in.name())],
+        &[
+            (trees_out.id(), trees_out.name()),
+            (pq_out.id(), pq_out.name()),
+        ],
     )?;
-    proc.launch(PhaseIBound::NAME, b.instances(), |ctx| b.run(ctx))
+    let pq_read = ReadView::contiguous(pq_in, pq_in_offset, 2 * len, 2)?;
+    let gather = GatherView::new(trees_in);
+    let node_out = WriteView::contiguous(trees_out, out_block.0, out_block.1, 2)?;
+    let pq_write = WriteView::contiguous(pq_out, pq_out_offset, 2 * len, 2)?;
+    // The iterator stream yields the element indices the *next* phase will
+    // write to (Section 5.2), so child pointers can be redirected there.
+    let index_generator = IterStream::range(next_block_start, 2 * len, 2);
+    proc.launch("phaseI", len, |ctx| {
+        let ascending = ascending_for(ctx.instance_index(), instances_per_tree);
+        let (p_idx, q_idx) = pq_read.pair(ctx);
+        let mut p = gather.gather(ctx, p_idx as usize);
+        let mut q = gather.gather(ctx, q_idx as usize);
+        if out_of_order(ctx, &p.value, &q.value, ascending) {
+            std::mem::swap(&mut p.value, &mut q.value);
+            std::mem::swap(&mut p.left, &mut q.left);
+            pq_write.pair(ctx, p.right, q.right);
+            let (np, nq) = index_generator.pair(ctx);
+            p.right = np;
+            q.right = nq;
+        } else {
+            pq_write.pair(ctx, p.left, q.left);
+            let (np, nq) = index_generator.pair(ctx);
+            p.left = np;
+            q.left = nq;
+        }
+        node_out.pair(ctx, p, q);
+    })
 }
 
 /// Copy the node pairs just written to the output stream back to the
@@ -369,52 +205,6 @@ pub fn copy_back(
     proc.launch_copy("copy-back", trees_out, trees_in, block, 2)
 }
 
-/// Bound form of [`commit_level`].
-pub struct CommitLevelBound<'a> {
-    src: ReadView<'a, Node>,
-    dst: WriteView<'a, Node>,
-    n: usize,
-}
-
-/// Validate and bind [`commit_level`] without launching.
-pub fn bind_commit_level<'a>(
-    proc: &StreamProcessor,
-    trees_in: &'a Stream<Node>,
-    trees_out: &'a mut Stream<Node>,
-    n: usize,
-) -> Result<CommitLevelBound<'a>> {
-    proc.check_distinct_io(
-        &[(trees_in.id(), trees_in.name())],
-        &[(trees_out.id(), trees_out.name())],
-    )?;
-    let src = ReadView::contiguous(trees_in, 0, n, 2)?;
-    let dst = WriteView::contiguous(trees_out, n, n, 2)?;
-    Ok(CommitLevelBound { src, dst, n })
-}
-
-impl CommitLevelBound<'_> {
-    /// The launch name of this kernel.
-    pub const NAME: &'static str = "commit-level";
-
-    /// Number of kernel instances the launch covers.
-    pub fn instances(&self) -> usize {
-        self.n / 2
-    }
-
-    /// One kernel instance: re-tree two in-order values.
-    pub fn run(&self, ctx: &mut KernelCtx<'_>) {
-        let (a, b) = self.src.pair(ctx);
-        let base = ctx.instance_index() * 2;
-        self.dst.write_all(
-            ctx,
-            &[
-                in_order_node(a.value, self.n, base),
-                in_order_node(b.value, self.n, base + 1),
-            ],
-        );
-    }
-}
-
 /// End-of-level commit (Listing 2): reinterpret the in-order value sequence
 /// produced by the final merge stage (elements `[0, n)` of the node stream)
 /// as the input bitonic trees of the next recursion level by writing the
@@ -426,66 +216,24 @@ pub fn commit_level(
     trees_out: &mut Stream<Node>,
     n: usize,
 ) -> Result<()> {
-    let b = bind_commit_level(proc, trees_in, trees_out, n)?;
-    proc.launch(CommitLevelBound::NAME, b.instances(), |ctx| b.run(ctx))
-}
-
-/// Bound form of [`local_sort8`].
-pub struct LocalSort8Bound<'a> {
-    src: ReadView<'a, Value>,
-    dst: WriteView<'a, Value>,
-    n: usize,
-}
-
-/// Validate and bind [`local_sort8`] without launching.
-pub fn bind_local_sort8<'a>(
-    proc: &StreamProcessor,
-    source: &'a Stream<Value>,
-    sorted: &'a mut Stream<Value>,
-    n: usize,
-) -> Result<LocalSort8Bound<'a>> {
-    assert!(
-        n.is_multiple_of(8),
-        "local sort requires a multiple of 8 elements"
-    );
     proc.check_distinct_io(
-        &[(source.id(), source.name())],
-        &[(sorted.id(), sorted.name())],
+        &[(trees_in.id(), trees_in.name())],
+        &[(trees_out.id(), trees_out.name())],
     )?;
-    let src = ReadView::contiguous(source, 0, n, 8)?;
-    let dst = WriteView::contiguous(sorted, 0, n, 8)?;
-    Ok(LocalSort8Bound { src, dst, n })
-}
-
-impl LocalSort8Bound<'_> {
-    /// The launch name of this kernel.
-    pub const NAME: &'static str = "local-sort-8";
-
-    /// Number of kernel instances the launch covers.
-    pub fn instances(&self) -> usize {
-        self.n / 8
-    }
-
-    /// One kernel instance: odd-even transition sort of 8 pairs.
-    pub fn run(&self, ctx: &mut KernelCtx<'_>) {
-        let ascending = ctx.instance_index().is_multiple_of(2);
-        let mut v = [Value::default(); 8];
-        self.src.read_into(ctx, &mut v);
-        // Odd-even transition sort: 8 passes of alternating adjacent
-        // compare-exchanges (the comparison order that "allows for better
-        // SIMD optimizations", Section 7.1).
-        for pass in 0..8 {
-            let start = pass % 2;
-            let mut i = start;
-            while i + 1 < 8 {
-                if out_of_order(ctx, &v[i], &v[i + 1], ascending) {
-                    v.swap(i, i + 1);
-                }
-                i += 2;
-            }
-        }
-        self.dst.write_all(ctx, &v);
-    }
+    let src = ReadView::contiguous(trees_in, 0, n, 2)?;
+    let dst = WriteView::contiguous(trees_out, n, n, 2)?;
+    // Each instance re-trees two in-order values.
+    proc.launch("commit-level", n / 2, |ctx| {
+        let (a, b) = src.pair(ctx);
+        let base = ctx.instance_index() * 2;
+        dst.write_all(
+            ctx,
+            &[
+                in_order_node(a.value, n, base),
+                in_order_node(b.value, n, base + 1),
+            ],
+        );
+    })
 }
 
 /// The Section 7.1 local sort: each instance reads 8 value/pointer pairs
@@ -501,57 +249,35 @@ pub fn local_sort8(
     sorted: &mut Stream<Value>,
     n: usize,
 ) -> Result<()> {
-    let b = bind_local_sort8(proc, source, sorted, n)?;
-    proc.launch(LocalSort8Bound::NAME, b.instances(), |ctx| b.run(ctx))
-}
-
-/// Bound form of [`build_trees16`].
-pub struct BuildTrees16Bound<'a> {
-    src: ReadView<'a, Value>,
-    dst: WriteView<'a, Node>,
-    n: usize,
-}
-
-/// Validate and bind [`build_trees16`] without launching.
-pub fn bind_build_trees16<'a>(
-    proc: &StreamProcessor,
-    values: &'a Stream<Value>,
-    trees_out: &'a mut Stream<Node>,
-    n: usize,
-) -> Result<BuildTrees16Bound<'a>> {
     assert!(
-        n.is_multiple_of(4),
-        "tree building requires a multiple of 4 elements"
+        n.is_multiple_of(8),
+        "local sort requires a multiple of 8 elements"
     );
     proc.check_distinct_io(
-        &[(values.id(), values.name())],
-        &[(trees_out.id(), trees_out.name())],
+        &[(source.id(), source.name())],
+        &[(sorted.id(), sorted.name())],
     )?;
-    let src = ReadView::contiguous(values, 0, n, 4)?;
-    let dst = WriteView::contiguous(trees_out, n, n, 4)?;
-    Ok(BuildTrees16Bound { src, dst, n })
-}
-
-impl BuildTrees16Bound<'_> {
-    /// The launch name of this kernel.
-    pub const NAME: &'static str = "build-trees-16";
-
-    /// Number of kernel instances the launch covers.
-    pub fn instances(&self) -> usize {
-        self.n / 4
-    }
-
-    /// One kernel instance: emit 4 in-order tree nodes.
-    pub fn run(&self, ctx: &mut KernelCtx<'_>) {
-        let base = ctx.instance_index() * 4;
-        let mut values = [Value::default(); 4];
-        self.src.read_into(ctx, &mut values);
-        let mut nodes = [Node::default(); 4];
-        for (slot, value) in values.into_iter().enumerate() {
-            nodes[slot] = in_order_node(value, self.n, base + slot);
+    let src = ReadView::contiguous(source, 0, n, 8)?;
+    let dst = WriteView::contiguous(sorted, 0, n, 8)?;
+    proc.launch("local-sort-8", n / 8, |ctx| {
+        let ascending = ctx.instance_index().is_multiple_of(2);
+        let mut v = [Value::default(); 8];
+        src.read_into(ctx, &mut v);
+        // Odd-even transition sort: 8 passes of alternating adjacent
+        // compare-exchanges (the comparison order that "allows for better
+        // SIMD optimizations", Section 7.1).
+        for pass in 0..8 {
+            let start = pass % 2;
+            let mut i = start;
+            while i + 1 < 8 {
+                if out_of_order(ctx, &v[i], &v[i + 1], ascending) {
+                    v.swap(i, i + 1);
+                }
+                i += 2;
+            }
         }
-        self.dst.write_all(ctx, &nodes);
-    }
+        dst.write_all(ctx, &v);
+    })
 }
 
 /// Convert sorted/merged 16-value blocks into in-order-stored bitonic trees
@@ -564,8 +290,26 @@ pub fn build_trees16(
     trees_out: &mut Stream<Node>,
     n: usize,
 ) -> Result<()> {
-    let b = bind_build_trees16(proc, values, trees_out, n)?;
-    proc.launch(BuildTrees16Bound::NAME, b.instances(), |ctx| b.run(ctx))
+    assert!(
+        n.is_multiple_of(4),
+        "tree building requires a multiple of 4 elements"
+    );
+    proc.check_distinct_io(
+        &[(values.id(), values.name())],
+        &[(trees_out.id(), trees_out.name())],
+    )?;
+    let src = ReadView::contiguous(values, 0, n, 4)?;
+    let dst = WriteView::contiguous(trees_out, n, n, 4)?;
+    proc.launch("build-trees-16", n / 4, |ctx| {
+        let base = ctx.instance_index() * 4;
+        let mut values = [Value::default(); 4];
+        src.read_into(ctx, &mut values);
+        let mut nodes = [Node::default(); 4];
+        for (slot, value) in values.into_iter().enumerate() {
+            nodes[slot] = in_order_node(value, n, base + slot);
+        }
+        dst.write_all(ctx, &nodes);
+    })
 }
 
 /// Where the 16-element groups of the Section 7.2 fixed merge find their
@@ -629,77 +373,6 @@ fn in_order_collect(
     }
 }
 
-/// Bound form of [`traverse16`].
-pub struct Traverse16Bound<'a> {
-    gather: GatherView<'a, Node>,
-    dst: WriteView<'a, Value>,
-    groups: usize,
-    source: GroupSource,
-}
-
-/// Validate and bind [`traverse16`] without launching.
-pub fn bind_traverse16<'a>(
-    proc: &StreamProcessor,
-    trees_in: &'a Stream<Node>,
-    values_out: &'a mut Stream<Value>,
-    groups: usize,
-    source: GroupSource,
-) -> Result<Traverse16Bound<'a>> {
-    proc.check_distinct_io(
-        &[(trees_in.id(), trees_in.name())],
-        &[(values_out.id(), values_out.name())],
-    )?;
-    let gather = GatherView::new(trees_in);
-    let dst = WriteView::contiguous(values_out, 0, groups * 16, 8)?;
-    Ok(Traverse16Bound {
-        gather,
-        dst,
-        groups,
-        source,
-    })
-}
-
-impl Traverse16Bound<'_> {
-    /// The launch name of this kernel.
-    pub const NAME: &'static str = "traverse-16";
-
-    /// Number of kernel instances the launch covers.
-    pub fn instances(&self) -> usize {
-        self.groups * 2
-    }
-
-    /// One kernel instance: extract half of a 16-value bitonic sequence.
-    pub fn run(&self, ctx: &mut KernelCtx<'_>) {
-        let group = ctx.instance_index() / 2;
-        let upper_half = ctx.instance_index() % 2 == 1;
-        let root = self.gather.gather(ctx, self.source.root_index(group));
-        let mut out = [Value::default(); 8];
-        let mut pos = 0;
-        if !upper_half {
-            // Lower half: in-order of the root's left subtree, then the
-            // root value itself.
-            in_order_collect(ctx, &self.gather, root.left as usize, 3, &mut out, &mut pos);
-            out[7] = root.value;
-        } else {
-            // Upper half: in-order of the root's right subtree, then the
-            // spare value.
-            in_order_collect(
-                ctx,
-                &self.gather,
-                root.right as usize,
-                3,
-                &mut out,
-                &mut pos,
-            );
-            out[7] = self
-                .gather
-                .gather(ctx, self.source.spare_index(group))
-                .value;
-        }
-        self.dst.write_all(ctx, &out);
-    }
-}
-
 /// The Section 7.2 in-order traversal: extract the 16-value bitonic
 /// sequence of every remaining 16-node subtree into a plain value stream so
 /// that the non-adaptive merge can read it linearly. Two instances per
@@ -712,58 +385,59 @@ pub fn traverse16(
     groups: usize,
     source: GroupSource,
 ) -> Result<()> {
-    let b = bind_traverse16(proc, trees_in, values_out, groups, source)?;
-    proc.launch(Traverse16Bound::NAME, b.instances(), |ctx| b.run(ctx))
+    proc.check_distinct_io(
+        &[(trees_in.id(), trees_in.name())],
+        &[(values_out.id(), values_out.name())],
+    )?;
+    let gather = GatherView::new(trees_in);
+    let dst = WriteView::contiguous(values_out, 0, groups * 16, 8)?;
+    proc.launch("traverse-16", groups * 2, |ctx| {
+        let group = ctx.instance_index() / 2;
+        let upper_half = ctx.instance_index() % 2 == 1;
+        let root = gather.gather(ctx, source.root_index(group));
+        let mut out = [Value::default(); 8];
+        let mut pos = 0;
+        if !upper_half {
+            // Lower half: in-order of the root's left subtree, then the
+            // root value itself.
+            in_order_collect(ctx, &gather, root.left as usize, 3, &mut out, &mut pos);
+            out[7] = root.value;
+        } else {
+            // Upper half: in-order of the root's right subtree, then the
+            // spare value.
+            in_order_collect(ctx, &gather, root.right as usize, 3, &mut out, &mut pos);
+            out[7] = gather.gather(ctx, source.spare_index(group)).value;
+        }
+        dst.write_all(ctx, &out);
+    })
 }
 
-/// Bound form of [`fixed_merge16`].
-pub struct FixedMerge16Bound<'a> {
-    gather: GatherView<'a, Value>,
-    dst: WriteView<'a, Value>,
+/// The Section 7.2 non-adaptive bitonic merge of 16-value bitonic
+/// sequences. Two instances per sequence: one outputs the merged lower
+/// half, the other the merged upper half (respecting the per-instance
+/// output limit). The merge direction alternates per destination tree so
+/// the next recursion level again receives bitonic inputs.
+pub fn fixed_merge16(
+    proc: &mut StreamProcessor,
+    values_in: &Stream<Value>,
+    values_out: &mut Stream<Value>,
     groups: usize,
     groups_per_tree: usize,
-}
-
-/// Validate and bind [`fixed_merge16`] without launching.
-pub fn bind_fixed_merge16<'a>(
-    proc: &StreamProcessor,
-    values_in: &'a Stream<Value>,
-    values_out: &'a mut Stream<Value>,
-    groups: usize,
-    groups_per_tree: usize,
-) -> Result<FixedMerge16Bound<'a>> {
+) -> Result<()> {
     proc.check_distinct_io(
         &[(values_in.id(), values_in.name())],
         &[(values_out.id(), values_out.name())],
     )?;
     let gather = GatherView::new(values_in);
     let dst = WriteView::contiguous(values_out, 0, groups * 16, 8)?;
-    Ok(FixedMerge16Bound {
-        gather,
-        dst,
-        groups,
-        groups_per_tree,
-    })
-}
-
-impl FixedMerge16Bound<'_> {
-    /// The launch name of this kernel.
-    pub const NAME: &'static str = "fixed-merge-16";
-
-    /// Number of kernel instances the launch covers.
-    pub fn instances(&self) -> usize {
-        self.groups * 2
-    }
-
-    /// One kernel instance: merge half of a 16-value bitonic sequence.
-    pub fn run(&self, ctx: &mut KernelCtx<'_>) {
+    proc.launch("fixed-merge-16", groups * 2, |ctx| {
         let group = ctx.instance_index() / 2;
         let upper_half = ctx.instance_index() % 2 == 1;
-        let ascending = (group / self.groups_per_tree).is_multiple_of(2);
+        let ascending = (group / groups_per_tree).is_multiple_of(2);
 
         // Load the whole 16-value bitonic sequence.
         let mut v = [Value::default(); 16];
-        self.gather.gather_range(ctx, group * 16, &mut v);
+        gather.gather_range(ctx, group * 16, &mut v);
         // First compare-exchange distance 8; afterwards the lower and upper
         // halves are independent, so the instance keeps only its half.
         for i in 0..8 {
@@ -786,24 +460,8 @@ impl FixedMerge16Bound<'_> {
                 block += 2 * step;
             }
         }
-        self.dst.write_all(ctx, &h);
-    }
-}
-
-/// The Section 7.2 non-adaptive bitonic merge of 16-value bitonic
-/// sequences. Two instances per sequence: one outputs the merged lower
-/// half, the other the merged upper half (respecting the per-instance
-/// output limit). The merge direction alternates per destination tree so
-/// the next recursion level again receives bitonic inputs.
-pub fn fixed_merge16(
-    proc: &mut StreamProcessor,
-    values_in: &Stream<Value>,
-    values_out: &mut Stream<Value>,
-    groups: usize,
-    groups_per_tree: usize,
-) -> Result<()> {
-    let b = bind_fixed_merge16(proc, values_in, values_out, groups, groups_per_tree)?;
-    proc.launch(FixedMerge16Bound::NAME, b.instances(), |ctx| b.run(ctx))
+        dst.write_all(ctx, &h);
+    })
 }
 
 /// The node stored at local in-order position `local` of the input half

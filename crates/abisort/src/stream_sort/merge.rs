@@ -14,8 +14,12 @@
 //! stream `trees_a`, written to the output stream `trees_b`, and copied
 //! back after every launch; the pq-index streams use the ping-pong
 //! technique instead.
+//!
+//! The level's launches are listed and run by the sort driver
+//! ([`super::sort`]), which splices the same level lists into a full
+//! sort's launch list; [`merge_level`] runs one level on its own.
 
-use super::plan::{record_level_plan, PlanBuffers};
+use super::sort::{execute, schedule_level};
 use stream_arch::{Layout, Node, Result, Stream, StreamArena, StreamProcessor};
 
 /// The streams a GPU-ABiSort run operates on.
@@ -91,11 +95,6 @@ pub enum MergeOutcome {
 /// * `overlapped` — use the Section 5.4 overlapped-stage schedule;
 /// * `skip_last_stages` — number of final stages to skip (4 when the
 ///   Section 7.2 fixed merge takes over, 0 otherwise).
-///
-/// Since the launch-graph planner landed this is a record-then-execute
-/// wrapper: [`record_level_plan`] produces the level's launch plan (the
-/// exact sequence this function used to issue inline), and the plan runs
-/// against the level's streams.
 pub fn merge_level(
     proc: &mut StreamProcessor,
     streams: &mut MergeStreams,
@@ -104,33 +103,10 @@ pub fn merge_level(
     overlapped: bool,
     skip_last_stages: u32,
 ) -> Result<MergeOutcome> {
-    let (plan, outcome) = record_level_plan(n, j, overlapped, skip_last_stages);
-    plan.execute(
-        proc,
-        &mut PlanBuffers {
-            trees_a: &mut streams.trees_a,
-            trees_b: &mut streams.trees_b,
-            pq: &mut streams.pq,
-            scratch: None,
-            merged: None,
-            source: None,
-        },
-    )?;
+    let mut launches = Vec::new();
+    let outcome = schedule_level(&mut launches, n, j, overlapped, skip_last_stages);
+    execute(proc, &launches, n, streams, None, None, None)?;
     Ok(outcome)
-}
-
-/// Borrow the ping-pong pq streams as (input, output) according to which
-/// one currently holds the live indices.
-pub(super) fn split_pq(
-    pq: &mut [Stream<u32>; 2],
-    pq_in: usize,
-) -> (&Stream<u32>, &mut Stream<u32>) {
-    let (first, second) = pq.split_at_mut(1);
-    if pq_in == 0 {
-        (&first[0], &mut second[0])
-    } else {
-        (&second[0], &mut first[0])
-    }
 }
 
 #[cfg(test)]

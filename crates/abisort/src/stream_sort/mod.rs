@@ -14,18 +14,15 @@
 //!   level of the sort, executed either with sequential phases
 //!   (`O(log² n)` stream operations per level) or with overlapped stages
 //!   (`O(log n)` per level, Section 5.4);
-//! * [`plan`] — the launch-graph planner: the sort's kernel launches
-//!   recorded as an operator DAG over named buffers, partitioned into
-//!   stages, cached per problem shape, and executed one launch per node
-//!   (see `docs/PLANNER.md`);
 //! * [`sort`] — the `GPUABiSort` main routine (Listing 2) plus the
 //!   Section 7 optimizations, wrapped in the [`sort::GpuAbiSorter`] API.
+//!   The driver lists a problem shape's kernel launches once — the
+//!   schedule never depends on the data — caches the list per shape, and
+//!   runs it one launch per entry.
 
 pub mod kernels;
 pub mod layout_plan;
 pub mod merge;
-pub mod plan;
 pub mod sort;
 
-pub use plan::{BufferId, BufferRef, Op, PlanBuffers, PlanKey, SortPlan};
 pub use sort::{GpuAbiSorter, SegmentedRun, SortRun, TopKRun};

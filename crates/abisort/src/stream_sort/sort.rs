@@ -1,31 +1,329 @@
 //! `GPUABiSort` — the complete sort (Listing 2) with the Section 7
 //! optimizations, wrapped in the [`GpuAbiSorter`] API.
 //!
-//! The driver allocates the streams, looks up (or records) the
-//! [`SortPlan`] for the problem shape, and executes it: the plan contains
-//! the Section 7.1 local sort, the recursion levels (Listing 2), and
-//! either the Listing-2 commit or the Section 7.2 fixed-merge pipeline at
-//! the end of every level. The sorted result is read back from the input
-//! half of the node stream, where every level leaves its output in
-//! in-order storage.
+//! The launch schedule of a run depends only on its shape — `n`, the
+//! levels it runs and the configuration — never on the data. The driver
+//! therefore lists the launches once per shape (the Section 7.1 local
+//! sort, the recursion levels of Listing 2 with each level's Listing 5
+//! merge, and either the Listing 2 commit or the Section 7.2 fixed-merge
+//! tail at the end of every level), caches the list per sorter, and runs
+//! it one kernel launch per entry: every kernel that writes `trees-b` is
+//! followed by the Section 6.1 copy-back of the block it just wrote, and
+//! every step mark records one stream-operation step. The sorted result is
+//! read back from the input half of the node stream, where every level
+//! leaves its output in in-order storage.
 
-use super::kernels;
-use super::merge::MergeStreams;
-use super::plan::{PlanBuffers, PlanKey, SortPlan};
+use super::kernels::{self, GroupSource};
+use super::layout_plan::{overlapped_schedule, table1_element_block, PhaseRef};
+use super::merge::{MergeOutcome, MergeStreams};
 use crate::config::SortConfig;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use stream_arch::{Counters, Node, Result, SimTime, Stream, StreamProcessor, Value};
 
-/// The GPU-ABiSort sorter: a [`SortConfig`], a cache of recorded launch
-/// plans, and the logic to run them on a [`StreamProcessor`].
+/// The GPU-ABiSort sorter: a [`SortConfig`], a cache of per-shape launch
+/// lists, and the logic to run them on a [`StreamProcessor`].
 ///
-/// Clones share the plan cache — a service that hands one sorter to many
-/// worker slots pays the planning cost once per problem shape.
+/// Clones share the cache — a service that hands one sorter to many
+/// worker slots lists the launches once per problem shape.
 #[derive(Clone, Debug, Default)]
 pub struct GpuAbiSorter {
     config: SortConfig,
-    plans: Arc<Mutex<HashMap<PlanKey, Arc<SortPlan>>>>,
+    plans: Arc<Mutex<HashMap<PlanKey, Arc<[Launch]>>>>,
+}
+
+/// Everything that determines a run's launch list. Two runs with equal
+/// keys issue the same launches, which is what makes the per-sorter cache
+/// sound.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
+struct PlanKey {
+    /// Padded power-of-two element count.
+    n: usize,
+    /// First recursion level to run (4 with the local-sort prologue,
+    /// `log₂ block + 1` for a block merge, 1 otherwise).
+    first_level: u32,
+    /// Last recursion level to run, inclusive.
+    top_level: u32,
+    /// Run the Section 7.1 local-sort prologue.
+    local_sort: bool,
+    /// Replace the last 4 stages of each level with the Section 7.2
+    /// fixed-merge tail.
+    fixed_merge: bool,
+    /// Use the Section 5.4 overlapped-stage schedule inside each level.
+    overlapped: bool,
+}
+
+/// One entry of a launch list: a kernel launch or a step mark. Entries
+/// name no streams; the executor binds them to the run's streams.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(super) enum Launch {
+    /// Section 7.1 local odd-even sort: `source-values → scratch-values`.
+    LocalSort8,
+    /// Section 7.1/7.2 tree build into `trees-b[n, 2n)`, from
+    /// `merged-values` after a fixed merge, else from `scratch-values`.
+    BuildTrees16 { from_merged: bool },
+    /// Listing 5 initialization of level `j`: `trees-a → trees-b`.
+    ExtractRootsSpares { j: u32 },
+    /// Listing 3: `trees-a → trees-b[0, 2·len)` plus the (p, q) pairs
+    /// into pq stream `pq_out` at `pq_offset`.
+    Phase0 {
+        pq_out: usize,
+        pq_offset: usize,
+        len: usize,
+        instances_per_tree: usize,
+    },
+    /// Listing 4: reads pq stream `pq_in` and gathers `trees-a`; writes its
+    /// Table-1 block of `trees-b` and the other pq stream.
+    PhaseI {
+        pq_in: usize,
+        pq_offset: usize,
+        out_block: (usize, usize),
+        next_start: usize,
+        len: usize,
+        instances_per_tree: usize,
+    },
+    /// Listing 2 end-of-level commit: `trees-a[0, n) → trees-b[n, 2n)`.
+    CommitLevel,
+    /// Section 7.2 traversal: `trees-a → scratch-values`.
+    Traverse16 { source: GroupSource },
+    /// Section 7.2 fixed merge: `scratch-values → merged-values`.
+    FixedMerge16 { groups_per_tree: usize },
+    /// A stream-operation step boundary.
+    Step,
+}
+
+/// List the launches of a `key`-shaped run.
+fn schedule(key: PlanKey) -> Vec<Launch> {
+    let n = key.n;
+    let mut list = Vec::new();
+    if key.local_sort {
+        // Section 7.1 prologue: local sort, then tree conversion.
+        list.extend([
+            Launch::LocalSort8,
+            Launch::Step,
+            Launch::BuildTrees16 { from_merged: false },
+            Launch::Step,
+        ]);
+    }
+    for j in key.first_level..=key.top_level {
+        let skip = if key.fixed_merge && j >= 4 { 4 } else { 0 };
+        let groups_source = match schedule_level(&mut list, n, j, key.overlapped, skip) {
+            MergeOutcome::Complete => {
+                list.extend([Launch::CommitLevel, Launch::Step]);
+                continue;
+            }
+            MergeOutcome::Truncated { roots_start } => {
+                GroupSource::WorkspaceSubtrees { roots_start }
+            }
+            MergeOutcome::Skipped => GroupSource::InputTrees { n },
+        };
+        // Section 7.2 tail: traversal, fixed merge, tree rebuild.
+        list.extend([
+            Launch::Traverse16 {
+                source: groups_source,
+            },
+            Launch::Step,
+            Launch::FixedMerge16 {
+                groups_per_tree: 1 << (j - 4),
+            },
+            Launch::Step,
+            Launch::BuildTrees16 { from_merged: true },
+            Launch::Step,
+        ]);
+    }
+    list
+}
+
+/// Append one level merge (Listing 5) to `list`: the initialization, then
+/// the stages — sequential phases (Section 5.3) or overlapped steps
+/// (Section 5.4) — without the last `skip_last_stages` of them. Returns
+/// what the level leaves behind.
+pub(super) fn schedule_level(
+    list: &mut Vec<Launch>,
+    n: usize,
+    j: u32,
+    overlapped: bool,
+    skip_last_stages: u32,
+) -> MergeOutcome {
+    if skip_last_stages >= j {
+        return MergeOutcome::Skipped;
+    }
+    let num_trees = n >> j;
+    let last_stage = j - 1 - skip_last_stages;
+    // Phase `i > 0` of stage `k`, reading pq stream `pq_in`.
+    let phase_i = |k: u32, i: u32, pq_in: usize, pq_offset: usize| Launch::PhaseI {
+        pq_in,
+        pq_offset,
+        out_block: table1_element_block(k, i, num_trees),
+        next_start: table1_element_block(k, i + 1, num_trees).0,
+        len: (1usize << k) * num_trees,
+        instances_per_tree: 1usize << k,
+    };
+
+    list.extend([Launch::ExtractRootsSpares { j }, Launch::Step]);
+    if overlapped {
+        let mut pq_in = 0usize;
+        for step in overlapped_schedule(j, skip_last_stages) {
+            for PhaseRef { stage: k, phase: i } in step {
+                let len = (1usize << k) * num_trees;
+                // Each stage uses its own disjoint region of the pq
+                // streams: elements [2·len_k, 4·len_k).
+                list.push(if i == 0 {
+                    Launch::Phase0 {
+                        pq_out: 1 - pq_in,
+                        pq_offset: 2 * len,
+                        len,
+                        instances_per_tree: 1usize << k,
+                    }
+                } else {
+                    phase_i(k, i, pq_in, 2 * len)
+                });
+            }
+            pq_in = 1 - pq_in;
+            list.push(Launch::Step);
+        }
+    } else {
+        for k in 0..=last_stage {
+            // Phase 0 always writes the initial (p, q) pairs to pq[0].
+            list.extend([
+                Launch::Phase0 {
+                    pq_out: 0,
+                    pq_offset: 0,
+                    len: (1usize << k) * num_trees,
+                    instances_per_tree: 1usize << k,
+                },
+                Launch::Step,
+            ]);
+            // Phase i reads the pq stream phase i − 1 wrote.
+            for i in 1..(j - k) {
+                list.extend([phase_i(k, i, (i as usize - 1) % 2, 0), Launch::Step]);
+            }
+        }
+    }
+
+    if skip_last_stages == 0 {
+        MergeOutcome::Complete
+    } else {
+        MergeOutcome::Truncated {
+            roots_start: table1_element_block(last_stage, 1, num_trees).0,
+        }
+    }
+}
+
+/// Run a launch list for an `n`-element problem: each kernel through its
+/// launch function in [`kernels`], each `trees-b` writer followed by the
+/// Section 6.1 copy-back of the block it just wrote, and one
+/// [`StreamProcessor::record_step`] per step mark. A bare level merge
+/// passes no value streams; its list holds no Section 7 launches.
+pub(super) fn execute(
+    proc: &mut StreamProcessor,
+    launches: &[Launch],
+    n: usize,
+    streams: &mut MergeStreams,
+    source: Option<&Stream<Value>>,
+    mut scratch: Option<&mut Stream<Value>>,
+    mut merged: Option<&mut Stream<Value>>,
+) -> Result<()> {
+    const VALUES: &str = "Section 7 launches need the value streams";
+    for &launch in launches {
+        let written = match launch {
+            Launch::Step => {
+                proc.record_step();
+                continue;
+            }
+            Launch::LocalSort8 => {
+                let sorted = scratch.as_deref_mut().expect(VALUES);
+                kernels::local_sort8(proc, source.expect(VALUES), sorted, n)?;
+                None
+            }
+            Launch::BuildTrees16 { from_merged } => {
+                let values = if from_merged {
+                    merged.as_deref()
+                } else {
+                    scratch.as_deref()
+                };
+                kernels::build_trees16(proc, values.expect(VALUES), &mut streams.trees_b, n)?;
+                Some((n, n))
+            }
+            Launch::ExtractRootsSpares { j } => {
+                kernels::extract_roots_and_spares(
+                    proc,
+                    &streams.trees_a,
+                    &mut streams.trees_b,
+                    n,
+                    j,
+                )?;
+                Some((0, 2 * (n >> j)))
+            }
+            Launch::Phase0 {
+                pq_out,
+                pq_offset,
+                len,
+                instances_per_tree,
+            } => {
+                kernels::phase0(
+                    proc,
+                    &streams.trees_a,
+                    &mut streams.trees_b,
+                    &mut streams.pq[pq_out],
+                    pq_offset,
+                    len,
+                    instances_per_tree,
+                )?;
+                Some((0, 2 * len))
+            }
+            Launch::PhaseI {
+                pq_in,
+                pq_offset,
+                out_block,
+                next_start,
+                len,
+                instances_per_tree,
+            } => {
+                let [pq_a, pq_b] = &mut streams.pq;
+                let (pq_read, pq_write) = if pq_in == 0 {
+                    (&*pq_a, pq_b)
+                } else {
+                    (&*pq_b, pq_a)
+                };
+                kernels::phase_i(
+                    proc,
+                    &streams.trees_a,
+                    &mut streams.trees_b,
+                    pq_read,
+                    pq_offset,
+                    pq_write,
+                    pq_offset,
+                    out_block,
+                    next_start,
+                    len,
+                    instances_per_tree,
+                )?;
+                Some(out_block)
+            }
+            Launch::CommitLevel => {
+                kernels::commit_level(proc, &streams.trees_a, &mut streams.trees_b, n)?;
+                Some((n, n))
+            }
+            Launch::Traverse16 {
+                source: groups_source,
+            } => {
+                let values_out = scratch.as_deref_mut().expect(VALUES);
+                kernels::traverse16(proc, &streams.trees_a, values_out, n / 16, groups_source)?;
+                None
+            }
+            Launch::FixedMerge16 { groups_per_tree } => {
+                let values_in = scratch.as_deref().expect(VALUES);
+                let values_out = merged.as_deref_mut().expect(VALUES);
+                kernels::fixed_merge16(proc, values_in, values_out, n / 16, groups_per_tree)?;
+                None
+            }
+        };
+        if let Some(block) = written {
+            kernels::copy_back(proc, &streams.trees_b, &mut streams.trees_a, block)?;
+        }
+    }
+    Ok(())
 }
 
 /// The outcome of one sort run: the sorted data plus the cost-accounting
@@ -103,34 +401,16 @@ impl GpuAbiSorter {
         &self.config
     }
 
-    /// Number of distinct launch plans currently cached.
+    /// Number of distinct launch lists (one per problem shape) currently
+    /// cached.
     pub fn cached_plans(&self) -> usize {
         self.plans.lock().expect("plan cache poisoned").len()
     }
 
-    /// The plan key [`Self::sort_run`] would use for an input of `len`
-    /// values (after power-of-two padding), or `None` when no stream
-    /// program runs (`len ≤ 1`).
-    pub fn sort_plan_key(&self, len: usize) -> Option<PlanKey> {
-        if len <= 1 {
-            return None;
-        }
-        let n = len.next_power_of_two();
-        Some(self.plan_key(n, n.trailing_zeros()))
-    }
-
-    /// Record (fresh, uncached) the launch plan [`Self::sort_run`] would
-    /// execute for an input of `len` values — the `repro --dump-plan`
-    /// backend.
-    pub fn describe_plan(&self, len: usize) -> Option<String> {
-        self.sort_plan_key(len)
-            .map(|key| SortPlan::record(key).describe())
-    }
-
-    /// The plan key of a `run_stream_program` invocation: `n` elements,
-    /// levels up to `top_level`, Section 7 optimizations gated on the
-    /// independently sorted block size `2^top_level`.
-    fn plan_key(&self, n: usize, top_level: u32) -> PlanKey {
+    /// The key of a sort-shaped run: `n` elements, levels up to
+    /// `top_level`, Section 7 optimizations gated on the independently
+    /// sorted block size `2^top_level`.
+    fn sort_key(&self, n: usize, top_level: u32) -> PlanKey {
         // The Section 7 optimizations assume at least 16 elements per
         // independently sorted block (8-element local-sort blocks,
         // 16-element fixed merges); below that the plain algorithm runs.
@@ -147,16 +427,11 @@ impl GpuAbiSorter {
         }
     }
 
-    /// Look up (or record) the plan for `key`. Plans are cached per
-    /// sorter: the first run of a problem shape records the launch graph,
-    /// every later run replays it.
-    fn plan_for(&self, key: PlanKey) -> Arc<SortPlan> {
+    /// Look up (or list) the launches for `key`. The first run of a
+    /// problem shape lists them, every later run reuses the list.
+    fn launches_for(&self, key: PlanKey) -> Arc<[Launch]> {
         let mut plans = self.plans.lock().expect("plan cache poisoned");
-        Arc::clone(
-            plans
-                .entry(key)
-                .or_insert_with(|| Arc::new(SortPlan::record(key))),
-        )
+        Arc::clone(plans.entry(key).or_insert_with(|| schedule(key).into()))
     }
 
     /// Sort `values` ascending, returning just the sorted data.
@@ -184,20 +459,9 @@ impl GpuAbiSorter {
             });
         }
 
-        // Pad to a power of two (Section 4) with maximum-key sentinels that keep all
-        // elements distinct. The padded copy lives in a recycled arena
-        // buffer: a service sorting thousands of jobs on one pooled
-        // processor reuses the same allocation run after run.
         let n = original_len.next_power_of_two();
-        let mut padded = proc.arena().take_capacity::<Value>(n);
-        padded.extend_from_slice(values);
-        for i in 0..(n - original_len) {
-            padded.push(Value::padding_sentinel(i));
-        }
-
-        let mut output = self.run_stream_program(proc, &padded, n.trailing_zeros())?;
+        let mut output = self.sort_padded(proc, values, n, n.trailing_zeros())?;
         output.truncate(original_len);
-        proc.arena().put_vec(padded);
 
         let counters = proc.counters();
         Ok(SortRun {
@@ -255,7 +519,8 @@ impl GpuAbiSorter {
             // Zero or single-element segments are sorted by definition.
             values.to_vec()
         } else {
-            self.run_stream_program(proc, values, segment_len.trailing_zeros())?
+            let key = self.sort_key(values.len(), segment_len.trailing_zeros());
+            self.run_stream_program(proc, values, key, self.config.include_transfer)?
         };
 
         // Simultaneously merged trees alternate between ascending and
@@ -333,14 +598,7 @@ impl GpuAbiSorter {
         // Stop the recursion at blocks of 2·k (min 16 so the Section 7
         // optimizations stay applicable, max n when k is no longer small).
         let block = (2 * k.next_power_of_two()).max(16).min(n);
-
-        let mut padded = proc.arena().take_capacity::<Value>(n);
-        padded.extend_from_slice(values);
-        for i in 0..(n - original_len) {
-            padded.push(Value::padding_sentinel(i));
-        }
-        let blocks = self.run_stream_program(proc, &padded, block.trailing_zeros())?;
-        proc.arena().put_vec(padded);
+        let blocks = self.sort_padded(proc, values, n, block.trailing_zeros())?;
 
         // Candidate runs: the k smallest of each block, ascending. Even
         // blocks are sorted ascending (take the prefix), odd blocks
@@ -431,13 +689,15 @@ impl GpuAbiSorter {
             // Zero or one block: already sorted by precondition.
             values.to_vec()
         } else {
-            let n = values.len();
-            proc.check_stream_size::<Node>(2 * n)?;
-            let layout = self.config.layout.to_layout();
+            // The Listing-2 invariant at the start of level j is "the input
+            // half holds the values in in-order storage, each 2^(j-1) block
+            // sorted in alternating directions" — exactly what the caller
+            // provides, so the recursion simply resumes above the blocks.
             // A block merge gates the fixed-merge tail on the *total* size
-            // (every level it runs has 16-element groups available), and
-            // never runs the local-sort prologue — the blocks arrive
-            // sorted.
+            // (every level it runs has 16-element groups available), never
+            // runs the local-sort prologue (the blocks arrive sorted) and
+            // charges no transfer.
+            let n = values.len();
             let key = PlanKey {
                 n,
                 first_level: block_len.trailing_zeros() + 1,
@@ -446,37 +706,7 @@ impl GpuAbiSorter {
                 fixed_merge: self.config.fixed_merge_optimization && n >= 16,
                 overlapped: self.config.overlapped_steps,
             };
-            let plan = self.plan_for(key);
-            let mut streams = MergeStreams::take(proc.arena(), n, layout);
-            // Scratch/merged value streams are written in full by
-            // `traverse16` / `fixed_merge16` before either is read, so
-            // their refill is elided too.
-            let mut scratch_values: Stream<Value> =
-                proc.arena().take_stream_uninit("scratch-values", n, layout);
-            let mut merged_values: Stream<Value> =
-                proc.arena().take_stream_uninit("merged-values", n, layout);
-
-            // The Listing-2 invariant at the start of level j is "the input
-            // half holds the values in in-order storage, each 2^(j-1) block
-            // sorted in alternating directions" — exactly what the caller
-            // provides, so the recursion simply resumes above the blocks.
-            kernels::init_input_trees(&mut streams.trees_a, values);
-            plan.execute(
-                proc,
-                &mut PlanBuffers {
-                    trees_a: &mut streams.trees_a,
-                    trees_b: &mut streams.trees_b,
-                    pq: &mut streams.pq,
-                    scratch: Some(&mut scratch_values),
-                    merged: Some(&mut merged_values),
-                    source: None,
-                },
-            )?;
-            let output = kernels::read_back_values(&streams.trees_a, n);
-            streams.recycle(proc.arena());
-            proc.arena().recycle(scratch_values);
-            proc.arena().recycle(merged_values);
-            output
+            self.run_stream_program(proc, values, key, false)?
         };
 
         let counters = proc.counters();
@@ -489,25 +719,49 @@ impl GpuAbiSorter {
         })
     }
 
-    /// The stream program shared by [`Self::sort_run`] (runs all
-    /// `log₂ n` recursion levels) and [`Self::sort_segments_run`] (stops at
-    /// level `top_level`, leaving every `2^top_level`-aligned block sorted
-    /// with alternating directions).
+    /// Pad `values` to `n` (a power of two) with maximum-key sentinels
+    /// that keep all elements distinct (Section 4), and sort every
+    /// `2^top_level`-aligned block of the padded input. The padded copy
+    /// lives in a recycled arena buffer: a service sorting thousands of
+    /// jobs on one pooled processor reuses the same allocation run after
+    /// run.
+    fn sort_padded(
+        &self,
+        proc: &mut StreamProcessor,
+        values: &[Value],
+        n: usize,
+        top_level: u32,
+    ) -> Result<Vec<Value>> {
+        let mut padded = proc.arena().take_capacity::<Value>(n);
+        padded.extend_from_slice(values);
+        for i in 0..(n - values.len()) {
+            padded.push(Value::padding_sentinel(i));
+        }
+        let key = self.sort_key(n, top_level);
+        let output = self.run_stream_program(proc, &padded, key, self.config.include_transfer)?;
+        proc.arena().put_vec(padded);
+        Ok(output)
+    }
+
+    /// The stream program every run shares: allocate the streams, set up
+    /// the input, run the launch list for `key`, read the result back from
+    /// the input half of the node stream and recycle the streams.
+    /// `transfer` charges the Section 8 upload and readback.
     ///
-    /// `padded.len()` must be a power-of-two multiple of `2^top_level`.
+    /// `values.len()` must equal `key.n`.
     fn run_stream_program(
         &self,
         proc: &mut StreamProcessor,
-        padded: &[Value],
-        top_level: u32,
+        values: &[Value],
+        key: PlanKey,
+        transfer: bool,
     ) -> Result<Vec<Value>> {
-        let n = padded.len();
+        let n = values.len();
         proc.check_stream_size::<Node>(2 * n)?;
         let layout = self.config.layout.to_layout();
-        let key = self.plan_key(n, top_level);
-        let plan = self.plan_for(key);
+        let launches = self.launches_for(key);
 
-        if self.config.include_transfer {
+        if transfer {
             // Upload of the input pairs and readback of the sorted output
             // (Section 8).
             proc.charge_transfer(2 * (n as u64) * 8);
@@ -523,33 +777,30 @@ impl GpuAbiSorter {
         let mut merged_values: Stream<Value> =
             proc.arena().take_stream_uninit("merged-values", n, layout);
 
-        // --- Input setup -------------------------------------------------
         let source = if key.local_sort {
-            // Section 7.1: the plan starts with the local sort of 8
+            // Section 7.1: the list starts with the local sort of 8
             // value/pointer pairs per kernel instance; it reads the source
             // pairs from their own stream.
             Some(
                 proc.arena()
-                    .take_stream_from("source-values", padded, layout),
+                    .take_stream_from("source-values", values, layout),
             )
         } else {
             // Listing 2: the input half of the node stream holds the source
             // data with the fixed in-order child indices (host-side
             // initialization / data upload).
-            kernels::init_input_trees(&mut streams.trees_a, padded);
+            kernels::init_input_trees(&mut streams.trees_a, values);
             None
         };
 
-        plan.execute(
+        execute(
             proc,
-            &mut PlanBuffers {
-                trees_a: &mut streams.trees_a,
-                trees_b: &mut streams.trees_b,
-                pq: &mut streams.pq,
-                scratch: Some(&mut scratch_values),
-                merged: Some(&mut merged_values),
-                source: source.as_ref(),
-            },
+            &launches,
+            n,
+            &mut streams,
+            source.as_ref(),
+            Some(&mut scratch_values),
+            Some(&mut merged_values),
         )?;
 
         let output = kernels::read_back_values(&streams.trees_a, n);
@@ -567,6 +818,7 @@ impl GpuAbiSorter {
 mod tests {
     use super::*;
     use crate::config::{LayoutChoice, SortConfig};
+    use crate::stream_sort::layout_plan::{phases_per_level, steps_per_level};
     use crate::verify::check_sorts;
     use stream_arch::GpuProfile;
     use workloads::Distribution;
@@ -681,6 +933,37 @@ mod tests {
             let seq_out = crate::sequential::adaptive_bitonic_sort(&input);
             assert_eq!(stream_out, seq_out);
         }
+    }
+
+    #[test]
+    fn sort_run_step_counts_match_the_paper_per_level_counts() {
+        // Per level j: one step for the Listing 5 initialization, then
+        // ½j² + ½j sequential phases (Section 5.3) or 2j − 1 overlapped
+        // steps (Section 5.4), then one commit step. With the Section 7
+        // optimizations the local-sort prologue adds two steps, levels
+        // 1–3 are absorbed by it, and every level from 4 on skips its last
+        // 4 stages for the three-step fixed-merge tail; level 4 runs no
+        // adaptive stage at all, so it has no initialization either.
+        let n = 256usize;
+        let log_n = n.trailing_zeros();
+        let steps = |config: SortConfig| run(config, n, 6).counters.steps;
+        assert_eq!(
+            steps(SortConfig::unoptimized()),
+            (1..=log_n)
+                .map(|j| 1 + phases_per_level(j) + 1)
+                .sum::<u64>()
+        );
+        assert_eq!(
+            steps(SortConfig::unoptimized().with_overlapped_steps(true)),
+            (1..=log_n)
+                .map(|j| 1 + steps_per_level(j, 0) + 1)
+                .sum::<u64>()
+        );
+        let level = |j: u32| 3 + if j > 4 { 1 + steps_per_level(j, 4) } else { 0 };
+        assert_eq!(
+            steps(SortConfig::default()),
+            2 + (4..=log_n).map(level).sum::<u64>()
+        );
     }
 
     #[test]

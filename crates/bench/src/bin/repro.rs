@@ -14,11 +14,8 @@
 //!   --scenario NAME       alias of --experiment (e.g. --scenario service)
 //!   --max-log-n K         cap the table sizes at 2^K (default 20; use 16
 //!                         for a quick run)
-//!   --dump-plan N         print the launch plan the sorter records for an
-//!                         N-element sort (the operator DAG: stages, nodes,
-//!                         named buffer reads/writes; see docs/PLANNER.md)
-//!                         and exit
 //!   --json PATH           additionally write all collected results as JSON
+//!                         (PATH's directory must exist)
 //!   --trace PATH          enable structured tracing for the whole run and
 //!                         write the collected spans as Chrome trace_event
 //!                         JSON to PATH (load in chrome://tracing or
@@ -33,8 +30,12 @@
 //!                         the host matches the baseline's recorded core
 //!                         count, advisory otherwise)
 //!   --baseline-tolerance P allowed relative speedup loss for the gate,
-//!                         in percent (default 25)
+//!                         in percent, 0 <= P < 100 (default 25)
 //! ```
+//!
+//! A usage error (an unknown argument, a missing or malformed value, an
+//! output path whose directory does not exist) prints a message and exits
+//! with status 2 before any experiment runs.
 
 use bench::extended::{render_padding, render_pram, render_terasort};
 use bench::report::{
@@ -76,6 +77,31 @@ struct Options {
     baseline_tolerance: f64,
 }
 
+/// Print a usage error and exit with status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
+}
+
+/// The value following `flag`, or a usage error if there is none.
+fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
+    args.next()
+        .unwrap_or_else(|| usage_error(&format!("{flag} requires a value")))
+}
+
+/// The output path following `flag`; its directory must exist, so that a
+/// typo fails here rather than after every experiment has run.
+fn output_path(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
+    let path = value(args, flag);
+    let dir = std::path::Path::new(&path)
+        .parent()
+        .filter(|dir| !dir.as_os_str().is_empty());
+    if dir.is_some_and(|dir| !dir.is_dir()) {
+        usage_error(&format!("{flag}: directory of {path:?} does not exist"));
+    }
+    path
+}
+
 fn parse_args() -> Options {
     let mut opts = Options {
         all: false,
@@ -101,10 +127,7 @@ fn parse_args() -> Options {
                 match args.next().as_deref() {
                     Some("2") => opts.table2 = true,
                     Some("3") => opts.table3 = true,
-                    other => {
-                        eprintln!("unknown table {other:?} (expected 2 or 3)");
-                        std::process::exit(2);
-                    }
+                    other => usage_error(&format!("unknown table {other:?} (expected 2 or 3)")),
                 }
                 any = true;
             }
@@ -115,41 +138,23 @@ fn parse_args() -> Options {
             "--experiment" | "--scenario" => {
                 let name = args.next().unwrap_or_default();
                 if !EXPERIMENTS.contains(&name.as_str()) {
-                    eprintln!(
+                    usage_error(&format!(
                         "unknown experiment {name:?} (expected one of: {})",
                         EXPERIMENTS.join(" | ")
-                    );
-                    std::process::exit(2);
+                    ));
                 }
                 opts.experiments.push(name);
                 any = true;
             }
             "--max-log-n" => {
-                opts.max_log_n = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--max-log-n requires an integer argument");
+                opts.max_log_n = value(&mut args, "--max-log-n")
+                    .parse()
+                    .unwrap_or_else(|_| usage_error("--max-log-n requires an integer argument"));
             }
-            "--dump-plan" => {
-                let n: usize = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--dump-plan requires an element count");
-                let sorter = abisort::GpuAbiSorter::new(abisort::SortConfig::default());
-                match sorter.describe_plan(n) {
-                    Some(text) => print!("{text}"),
-                    None => println!("no stream program runs for n={n} (already sorted)"),
-                }
-                std::process::exit(0);
-            }
-            "--json" => {
-                opts.json = Some(args.next().expect("--json requires a path"));
-            }
-            "--trace" => {
-                opts.trace = Some(args.next().expect("--trace requires a path"));
-            }
+            "--json" => opts.json = Some(output_path(&mut args, "--json")),
+            "--trace" => opts.trace = Some(output_path(&mut args, "--trace")),
             "--check-baseline" => {
-                opts.check_baseline = Some(args.next().expect("--check-baseline requires a path"));
+                opts.check_baseline = Some(value(&mut args, "--check-baseline"));
                 // The gate compares wallclock rows, so make sure they run.
                 if !opts.experiments.iter().any(|e| e == "wallclock") {
                     opts.experiments.push("wallclock".into());
@@ -157,24 +162,20 @@ fn parse_args() -> Options {
                 any = true;
             }
             "--baseline-tolerance" => {
-                let pct: f64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--baseline-tolerance requires a number (percent)");
-                assert!(
-                    (0.0..100.0).contains(&pct),
-                    "--baseline-tolerance must be in [0, 100)"
-                );
+                let pct = value(&mut args, "--baseline-tolerance")
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|pct| (0.0..100.0).contains(pct))
+                    .unwrap_or_else(|| {
+                        usage_error("--baseline-tolerance requires a percentage in [0, 100)")
+                    });
                 opts.baseline_tolerance = pct / 100.0;
             }
             "--help" | "-h" => {
                 println!("see the module documentation at the top of repro.rs");
                 std::process::exit(0);
             }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument: {other}")),
         }
     }
     if !any {

@@ -1,20 +1,18 @@
-//! Identity and snapshot properties of the launch-graph planner:
+//! Identity properties of the driver's per-shape launch cache:
 //!
-//! * **Staged == eager, byte for byte.** Replaying a sorter's cached,
-//!   stage-partitioned [`SortPlan`] ("staged") must be indistinguishable
-//!   from a fresh sorter that records the plan as it runs ("eager") —
-//!   output bytes, every counter (including per-unit cache statistics),
-//!   and simulated time — under both execution modes × both accounting
-//!   modes, for full sorts, segmented batch sorts, and block merges. Plan
-//!   caching is a wall-clock-only optimization.
-//! * **Plans are cached per problem shape**, and clones of a sorter share
-//!   the cache.
-//! * **The plan dump is pinned** against a committed golden snapshot
-//!   (`tests/golden_plan_n64.txt`), so accidental changes to the recorded
-//!   launch graph — stage boundaries, buffer refs, Table-1 blocks — show
-//!   up as a reviewable diff.
+//! * **Staged == eager, byte for byte.** Replaying a sorter's cached
+//!   launch list ("staged") must be indistinguishable from a fresh sorter
+//!   that lists the launches as it runs ("eager") — output bytes, every
+//!   counter (including per-unit cache statistics), and simulated time —
+//!   under both execution modes × both accounting modes, for full sorts,
+//!   segmented batch sorts, and block merges. Caching is a
+//!   wall-clock-only optimization.
+//! * **Launch lists are cached per problem shape**, and clones of a sorter
+//!   share the cache.
+//!
+//! The launch sequence itself is pinned by `tests/golden_sim.rs`, whose
+//! counters and output hashes change with any launch, step or block.
 
-use abisort::stream_sort::SortPlan;
 use abisort::{GpuAbiSorter, SortConfig};
 use stream_arch::{AccountingMode, Counters, ExecMode, GpuProfile, StreamProcessor, Value};
 use workloads::Distribution;
@@ -155,43 +153,4 @@ fn plans_are_cached_per_shape() {
 
     // Clones share the cache (the service hands one sorter to many slots).
     assert_eq!(sorter.clone().cached_plans(), 2);
-}
-
-/// The recorded plan for the default configuration at n = 64 is pinned
-/// against the committed golden dump (regenerate with
-/// `cargo run -p bench --bin repro -- --dump-plan 64`).
-#[test]
-fn plan_dump_matches_the_committed_golden_snapshot() {
-    let sorter = GpuAbiSorter::new(SortConfig::default());
-    let dump = sorter
-        .describe_plan(64)
-        .expect("n=64 runs a stream program");
-    let golden = include_str!("golden_plan_n64.txt");
-    assert_eq!(
-        dump, golden,
-        "launch plan changed; review the diff and regenerate \
-         tests/golden_plan_n64.txt with repro --dump-plan 64"
-    );
-}
-
-/// The dump's own accounting is consistent: the header's node/stage totals
-/// match the body, and the key round-trips through the public helpers.
-#[test]
-fn plan_dump_header_matches_its_body() {
-    let sorter = GpuAbiSorter::new(SortConfig::default());
-    let key = sorter.sort_plan_key(4096).unwrap();
-    let plan = SortPlan::record(key);
-    assert_eq!(plan.key(), key);
-    let text = plan.describe();
-    assert!(text.contains(&format!(
-        "{} nodes in {} stages, {} kernel instances",
-        plan.num_nodes(),
-        plan.num_stages(),
-        plan.total_instances()
-    )));
-    let stage_lines = text.lines().filter(|l| l.starts_with("stage ")).count();
-    assert_eq!(stage_lines, plan.num_stages());
-    // No stream program for degenerate inputs.
-    assert!(sorter.sort_plan_key(1).is_none());
-    assert!(sorter.describe_plan(0).is_none());
 }
